@@ -22,7 +22,7 @@ from .cud_core import (DEFAULT_OFFSET, Gf2Poly, LfsrConfig, PointSet,
                        builtin_config, factorize, generate_cud)
 from .drive import build_drive_matrix, coprime_width
 from .errors import ConfigurationError, DomainError
-from .experiment import DEFAULT_TRUTH, ExperimentSpec
+from .experiment import DEFAULT_TRUTH, TEST_FUNCTIONS, ExperimentSpec
 from .models import (GroundTruth, closed_form_posterior,
                      crossed_effects_potential, double_well_potential,
                      double_well_truth, linear_regression_potential,
@@ -33,9 +33,8 @@ from .samplers import (ChainConfig, ChainRun, ConstantSchedule,
                        PseudoRandomDrive, continue_chain, contraction_info,
                        run_chain)
 
-KINDS = ("coordinate", "square", "indicator")
-
-# Stream-id roles, combined as ((sched_idx * 8 + role) << 40) | (m << 20) | r.
+# Stream-id roles, combined as ((sched_idx * 8 + role) << 40) | (m << 20) | r;
+# the spec loader keeps r below experiment.MAX_REPLICATES = 2**20.
 _ROLE_SHIFT = 0
 _ROLE_NOISE = 1
 _ROLE_MINIBATCH_LQMC = 2
@@ -59,7 +58,7 @@ class TestFunction:
     index: int = 1
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in TEST_FUNCTIONS:
             raise DomainError(f"unknown test function kind {self.kind!r}")
         if self.index < 1:
             raise DomainError("coordinate index is 1-based and must be >= 1")
@@ -139,13 +138,6 @@ class MseReport:
             if (r.method == method and r.m == m and r.test_fn == test_fn
                     and (schedule is None or r.schedule == schedule)):
                 return r.mse
-        raise KeyError((method, m, test_fn, schedule))
-
-    def stderr_of(self, method: str, m: int, test_fn: str, schedule: str | None = None) -> float:
-        for r in self.rows:
-            if (r.method == method and r.m == m and r.test_fn == test_fn
-                    and (schedule is None or r.schedule == schedule)):
-                return r.stderr
         raise KeyError((method, m, test_fn, schedule))
 
 

@@ -231,10 +231,7 @@ def _diagnose_potential(args):
         return models.standard_gaussian_potential(args.dim)
     if args.model == "double_well":
         return models.double_well_potential()
-    data = models.synthesize_data(
-        args.model if args.model != "crossed" else "crossed",
-        args.n_obs, args.dim, args.data_seed,
-    )
+    data = models.synthesize_data(args.model, args.n_obs, args.dim, args.data_seed)
     if args.model == "linear":
         return models.linear_regression_potential(data)
     if args.model == "logistic":

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import ndtri
 
 from .cud_core import CudSequence
 from .errors import ConfigurationError, DomainError
@@ -127,52 +127,15 @@ def build_drive_matrix(
 # Inverse normal CDF
 # ---------------------------------------------------------------------------
 
-# Acklam's rational minimax coefficients for the percent point function.
-_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-      1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-      6.680131188771972e01, -1.328068155288572e01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-      -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-      3.754408661907416e00)
-_P_LOW = 0.02425
-_SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _acklam_left(q: np.ndarray) -> np.ndarray:
-    """Rational approximation on q in (0, 0.5]; returns z <= 0."""
-    z = np.empty_like(q)
-    tail = q < _P_LOW
-    if tail.any():
-        r = np.sqrt(-2.0 * np.log(q[tail]))
-        num = ((((_C[0] * r + _C[1]) * r + _C[2]) * r + _C[3]) * r + _C[4]) * r + _C[5]
-        den = (((_D[0] * r + _D[1]) * r + _D[2]) * r + _D[3]) * r + 1.0
-        z[tail] = num / den
-    mid = ~tail
-    if mid.any():
-        qm = q[mid] - 0.5
-        r = qm * qm
-        num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
-        den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        z[mid] = qm * num / den
-    return z
-
-
-def _phi(z: np.ndarray) -> np.ndarray:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * erfc(-z / _SQRT2)
-
 
 def inverse_normal_cdf(u):
     """Quantile z with Phi(z) = u, |Phi(z) - u| <= 1e-9 on (0, 1).
 
-    Rational initial approximation plus one Halley refinement against the
-    erfc-based Phi.  Arguments above 1/2 are reflected through the exact
-    identity 1 - u (Sterbenz), so odd symmetry is exact whenever both u and
-    1 - u are representable.  Raises DomainError outside (0, 1); callers
-    that may hit the endpoints must pre-clamp (see ``gaussian_rows``).
+    Arguments above 1/2 are reflected through the exact identity 1 - u
+    (Sterbenz) before ``scipy.special.ndtri``, so odd symmetry is exact
+    whenever both u and 1 - u are representable.  Raises DomainError
+    outside (0, 1); callers that may hit the endpoints must pre-clamp (see
+    ``gaussian_rows``).
     """
     arr = np.asarray(u, dtype=np.float64)
     scalar = arr.ndim == 0
@@ -180,12 +143,7 @@ def inverse_normal_cdf(u):
     if flat.size and (not np.all(flat > 0.0) or not np.all(flat < 1.0)):
         raise DomainError("inverse_normal_cdf requires 0 < u < 1")
     upper = flat > 0.5
-    q = np.where(upper, 1.0 - flat, flat)
-    z = _acklam_left(q)
-    # One Halley step: e = Phi(z) - q, correction e/phi(z) damped by curvature.
-    e = _phi(z) - q
-    t = e * _SQRT_2PI * np.exp(0.5 * z * z)
-    z = z - t / (1.0 + 0.5 * z * t)
+    z = ndtri(np.where(upper, 1.0 - flat, flat))
     out = np.where(upper, -z, z).reshape(arr.shape)
     return float(out) if scalar else out
 

@@ -13,13 +13,15 @@ from typing import Any
 
 import yaml
 
-from .cud_core import TABLE_RANGE
-from .errors import SpecError
+from .cud_core import TABLE_RANGE, Gf2Poly, is_primitive
+from .errors import ConfigurationError, SpecError
 from .samplers import (ConstantSchedule, PolynomialSchedule, StepSchedule,
                        solve_polynomial_schedule)
 
 MODELS = ("logistic", "linear", "crossed", "double_well")
 TEST_FUNCTIONS = ("coordinate", "square", "indicator")
+# Replicate streams pack the replicate index into 20 bits (bench._stream).
+MAX_REPLICATES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,10 @@ class ScheduleSpec:
         elif self.kind == "polynomial":
             if self.c0 is None or self.c1 is None:
                 raise SpecError("polynomial schedule needs c0 and c1")
+            try:
+                PolynomialSchedule(self.c0, self.c1, self.exponent)
+            except ConfigurationError as exc:
+                raise SpecError(f"polynomial schedule: {exc}") from exc
         elif self.kind == "solved":
             if self.h_start is None or self.h_end is None:
                 raise SpecError("solved schedule needs h_start and h_end")
@@ -127,6 +133,8 @@ class ExperimentSpec:
             raise SpecError("at least one schedule is required")
         if self.replicates < 2:
             raise SpecError("need >= 2 replicates for standard errors")
+        if self.replicates >= MAX_REPLICATES:
+            raise SpecError(f"replicates must be < {MAX_REPLICATES} (distinct streams)")
         for f in self.test_functions:
             if f not in TEST_FUNCTIONS:
                 raise SpecError(f"unknown test function {f!r}")
@@ -142,6 +150,21 @@ class ExperimentSpec:
                 raise SpecError("n_override must be >= 1")
             if any(self.n_override > (1 << m) - 1 for m in self.m_values):
                 raise SpecError("n_override exceeds a drive period")
+        mask = self.poly_mask
+        if mask is not None:
+            if not isinstance(mask, int) or mask <= 0:
+                raise SpecError(f"poly_mask must be a positive integer, got {mask!r}")
+            if mask.bit_length() - 1 not in self.m_values:
+                raise SpecError(
+                    f"poly_mask 0x{mask:x} has degree {mask.bit_length() - 1}, "
+                    f"which matches no m in {list(self.m_values)}"
+                )
+            try:
+                primitive = is_primitive(Gf2Poly.from_mask(mask))
+            except ConfigurationError as exc:
+                raise SpecError(f"poly_mask 0x{mask:x}: {exc}") from exc
+            if not primitive:
+                raise SpecError(f"poly_mask 0x{mask:x} is not primitive")
 
     # -- serialization ------------------------------------------------------
 

@@ -16,15 +16,11 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erfc, expit
+from scipy.special import expit, ndtr
 
 from .drive import clamped_normal
 from .errors import ConfigurationError, DataError, DivergenceError, DomainError
 from .prng import BaselinePrng
-
-
-def _phi(z):
-    return 0.5 * erfc(-z / np.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +262,7 @@ def closed_form_posterior(data: SyntheticDataset, noise_var: float | None = None
     return GroundTruth(
         mean=mean,
         second_moment=mean**2 + var,
-        positive_prob=_phi(mean / np.sqrt(var)),
+        positive_prob=ndtr(mean / np.sqrt(var)),
         provenance="closed-form",
     )
 

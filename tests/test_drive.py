@@ -1,5 +1,6 @@
 """Drive matrices, rotation, and the inverse normal CDF."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,18 @@ class TestInverseNormalCdf:
         z = inverse_normal_cdf(u)
         assert np.abs(0.5 * erfc(-z / np.sqrt(2)) - u).max() <= 1e-9
         assert np.abs(z - ndtri(u)).max() <= 1e-8
+
+    def test_accuracy_against_50_digit_quantile_over_clamp_range(self):
+        # Both tails down to the clamp bounds 2**-53 and 1 - 2**-53 that
+        # gaussian_rows and clamped_normal feed in.
+        tail = np.geomspace(2.0**-53, 0.5, 400)
+        u = np.unique(np.concatenate([tail, 1.0 - tail]))
+        assert u[0] == 2.0**-53 and u[-1] == 1.0 - 2.0**-53
+        with mpmath.workdps(50):
+            z_ref = np.array([float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(x) - 1))
+                              for x in u])
+        z = inverse_normal_cdf(u)
+        assert np.all(np.abs(z - z_ref) <= 1e-13 * np.maximum(1.0, np.abs(z)))
 
     @given(st.floats(min_value=1e-12, max_value=1 - 1e-12))
     def test_round_trip_through_phi(self, u):

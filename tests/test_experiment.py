@@ -33,6 +33,12 @@ class TestScheduleSpec:
         with pytest.raises(SpecError):
             ScheduleSpec(kind="warmup", h=0.1)
 
+    def test_polynomial_coefficients_checked_at_load(self):
+        for c0, c1 in ((0.0, 10.0), (-0.1, 10.0), (0.1, -1.0), (0.1, -3.0)):
+            with pytest.raises(SpecError):
+                ScheduleSpec(kind="polynomial", c0=c0, c1=c1)
+        assert ScheduleSpec(kind="polynomial", c0=0.1, c1=-0.5).c1 == -0.5
+
 
 class TestExperimentSpecValidation:
     def _ok(self, **kw):
@@ -63,6 +69,29 @@ class TestExperimentSpecValidation:
     def test_replicates_floor(self):
         with pytest.raises(SpecError):
             self._ok(replicates=1)
+
+    def test_replicates_ceiling_keeps_streams_distinct(self):
+        with pytest.raises(SpecError):
+            self._ok(replicates=1 << 20)
+        assert self._ok(replicates=(1 << 20) - 1).replicates == (1 << 20) - 1
+
+    @staticmethod
+    def _yaml_with_mask(mask: str) -> str:
+        return ("model: {kind: linear, n_obs: 5, dim: 2}\n"
+                f"drive: {{m_values: [4, 5], poly_mask: {mask}}}\n"
+                "schedules: [{kind: constant, h: 0.01}]\n")
+
+    def test_poly_mask_degree_must_match_an_m(self):
+        with pytest.raises(SpecError, match="degree 12"):
+            ExperimentSpec.from_yaml(self._yaml_with_mask("0x1053"))
+        assert ExperimentSpec.from_yaml(self._yaml_with_mask("0x25")).poly_mask == 0x25
+
+    def test_poly_mask_must_be_primitive(self):
+        # x^4 + x^3 + x^2 + x + 1 is irreducible but has order 5, not 15.
+        with pytest.raises(SpecError, match="not primitive"):
+            ExperimentSpec.from_yaml(self._yaml_with_mask("0x1F"))
+        with pytest.raises(SpecError):
+            ExperimentSpec.from_yaml(self._yaml_with_mask("0x12"))  # x divides it
 
     def test_unknown_test_function(self):
         with pytest.raises(SpecError):
