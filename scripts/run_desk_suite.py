@@ -18,7 +18,6 @@ SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--results", default="results")
     ap.add_argument("--only", default=None, help="substring filter on spec names")
     args = ap.parse_args()
@@ -42,8 +41,7 @@ def main() -> int:
                 truth = bench.ground_truth_for(spec, potential)
                 models.save_ground_truth(truth, cache)
                 print(f"   reference truth computed in {time.time() - t0:.0f}s")
-        report = bench.run_comparison(spec, truth=truth, threads=args.threads,
-                                      collect_replicates=True)
+        report = bench.run_comparison(spec, truth=truth, collect_replicates=True)
         out = outdir / f"{name}.csv"
         out.write_text(report.to_csv())
         (outdir / f"{name}.replicates.csv").write_text(report.replicate_csv())

@@ -21,7 +21,7 @@ from .models import (GroundTruth, Potential, SyntheticDataset,
 from .prng import BaselinePrng
 from .samplers import (ChainConfig, ChainRun, ConstantSchedule,
                        PolynomialSchedule, PseudoRandomDrive, continue_chain,
-                       contraction_info, coupling_diagnostic, lmc_step,
-                       run_chain, solve_polynomial_schedule)
+                       contraction_info, coupling_diagnostic, run_chain,
+                       solve_polynomial_schedule)
 
 __version__ = "0.1.0"

@@ -1,26 +1,26 @@
 """MSE comparison harness: paired quasi-random vs pseudo-random chains.
 
-For each period exponent m the harness runs R quasi-random replicates
-(fresh rotation shifts over one shared deterministic driving sequence) and
-R pseudo-random replicates (independent baseline streams), evaluates the
-test functions against ground truth, and reports the squared error
+For each period exponent m and schedule the harness steps R quasi-random
+replicates (fresh rotation shifts over one shared deterministic driving
+sequence) and R pseudo-random replicates (independent baseline streams)
+side by side as one batch, reduces their sample averages online, evaluates
+the test functions against ground truth, and reports the squared error
 averaged over coordinates first, then over replicates, with a standard
 error across replicates.  Every seed and shift derives deterministically
 from (experiment seed, m, schedule index, replicate index), so reports are
-byte-identical across runs and thread counts.
+byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cud_core import (DEFAULT_OFFSET, Gf2Poly, LfsrConfig, PointSet,
                        builtin_config, factorize, generate_cud)
-from .drive import build_drive_matrix, coprime_width
+from .drive import DriveMatrix, build_drive_matrix, coprime_width
 from .errors import ConfigurationError, DomainError
 from .experiment import DEFAULT_TRUTH, TEST_FUNCTIONS, ExperimentSpec
 from .models import (GroundTruth, closed_form_posterior,
@@ -30,7 +30,7 @@ from .models import (GroundTruth, closed_form_posterior,
                      synthesize_data)
 from .prng import BaselinePrng
 from .samplers import (ChainConfig, ChainRun, ConstantSchedule,
-                       PseudoRandomDrive, continue_chain, contraction_info,
+                       PseudoRandomDrive, _chain_blocks, contraction_info,
                        run_chain)
 
 # Stream-id roles, combined as ((sched_idx * 8 + role) << 40) | (m << 20) | r;
@@ -39,6 +39,7 @@ _ROLE_SHIFT = 0
 _ROLE_NOISE = 1
 _ROLE_MINIBATCH_LQMC = 2
 _ROLE_MINIBATCH_LMC = 3
+_ROLE_MINIBATCH_LQMC_RUN = 4  # LQMC indices after a burn-in segment
 
 
 def _stream(sched_idx: int, role: int, m: int, r: int) -> int:
@@ -79,16 +80,6 @@ def estimate(run: ChainRun, f: TestFunction, discard: int = 0) -> float:
     if f.index > run.trajectory.shape[1]:
         raise DomainError("test-function coordinate exceeds the chain dimension")
     return float(f.evaluate(run.trajectory[discard:]).mean())
-
-
-def _trajectory_stats(traj: np.ndarray, discard: int) -> dict[str, np.ndarray]:
-    """All-coordinate estimates of the three families in one pass."""
-    tail = traj[discard:]
-    return {
-        "coordinate": tail.mean(axis=0),
-        "square": (tail**2).mean(axis=0),
-        "indicator": (tail > 0).mean(axis=0),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -179,69 +170,72 @@ def ground_truth_for(spec: ExperimentSpec, potential) -> GroundTruth:
 # ---------------------------------------------------------------------------
 
 
-def _dump(run, trajectory_dir, method, m, label, r):
-    if trajectory_dir is not None:
-        path = f"{trajectory_dir}/{method}_m{m}_{label}_r{r}.csv"
-        run.save_trajectory(path)
+def _unshifted(seq, d: int) -> DriveMatrix:
+    return build_drive_matrix(seq, d, shift=np.zeros(coprime_width(seq.n, d)))
 
 
-def _lqmc_estimates(potential, spec, seq, burn_seq, schedule, n_run,
-                    sched_idx, m, r, label, trajectory_dir):
-    d = potential.dim
-    shift_rng = BaselinePrng(spec.seed, _stream(sched_idx, _ROLE_SHIFT, m, r))
-    mb = dict(
-        minibatch=spec.minibatch,
-        minibatch_seed=spec.seed,
-        minibatch_stream=_stream(sched_idx, _ROLE_MINIBATCH_LQMC, m, r),
-    )
-    theta0 = np.zeros(d)
-    if burn_seq is None:
-        cfg = ChainConfig(theta0=theta0, n_steps=n_run, schedule=schedule,
-                          drive=build_drive_matrix(seq, d, rng=shift_rng), **mb)
-        run = run_chain(potential, cfg)
-        discard = 0
-    else:
-        burn_matrix = build_drive_matrix(burn_seq, d, rng=shift_rng)
-        main_matrix = build_drive_matrix(seq, d, rng=shift_rng)
-        cfg = ChainConfig(theta0=theta0, n_steps=burn_seq.n, schedule=schedule,
-                          drive=burn_matrix, **mb)
-        run = continue_chain(run_chain(potential, cfg), main_matrix, n_run)
-        discard = burn_seq.n
-    _dump(run, trajectory_dir, "lqmc", m, label, r)
-    return _trajectory_stats(run.trajectory, discard)
+def _cell_chains(spec, d, schedule, burn_base, main_base, n_run, sched_idx, m):
+    """Segments of the chains of one (m, schedule) cell, keyed (method, r),
+    LMC first; every segment has its own minibatch stream."""
+    burn_n = 0 if burn_base is None else burn_base.n
+
+    def segment(n, drive, role, r, start=1):
+        return ChainConfig(
+            theta0=np.zeros(d), n_steps=n, schedule=schedule, drive=drive,
+            minibatch=spec.minibatch, minibatch_seed=spec.seed,
+            minibatch_stream=_stream(sched_idx, role, m, r), schedule_start=start,
+        )
+
+    reps = range(spec.replicates)
+    noise = [PseudoRandomDrive(spec.seed, _stream(sched_idx, _ROLE_NOISE, m, r)) for r in reps]
+    chains = {("lmc", r): [segment(burn_n + n_run, noise[r], _ROLE_MINIBATCH_LMC, r)]
+              for r in reps}
+    for r in reps:
+        rng = BaselinePrng(spec.seed, _stream(sched_idx, _ROLE_SHIFT, m, r))
+        burn = [] if burn_base is None else [
+            segment(burn_n, burn_base.reshifted(rng), _ROLE_MINIBATCH_LQMC, r)]
+        role = _ROLE_MINIBATCH_LQMC_RUN if burn else _ROLE_MINIBATCH_LQMC
+        chains["lqmc", r] = burn + [segment(n_run, main_base.reshifted(rng), role, r,
+                                            start=1 + burn_n)]
+    return chains
 
 
-def _lmc_estimates(potential, spec, burn_n, schedule, n_run, sched_idx, m, r,
-                   label, trajectory_dir):
-    d = potential.dim
-    cfg = ChainConfig(
-        theta0=np.zeros(d),
-        n_steps=burn_n + n_run,
-        schedule=schedule,
-        drive=PseudoRandomDrive(spec.seed, _stream(sched_idx, _ROLE_NOISE, m, r)),
-        minibatch=spec.minibatch,
-        minibatch_seed=spec.seed,
-        minibatch_stream=_stream(sched_idx, _ROLE_MINIBATCH_LMC, m, r),
-    )
-    run = run_chain(potential, cfg)
-    _dump(run, trajectory_dir, "lmc", m, label, r)
-    return _trajectory_stats(run.trajectory, burn_n)
+def _cell_means(potential, chains, names, discard: int) -> dict[str, np.ndarray]:
+    """Per-chain averages of theta, theta**2 and 1{theta > 0} (one (chains, d)
+    array per test-function kind) over the steps after ``discard``."""
+    sums = np.zeros((3, len(chains), potential.dim))
+    done = 0
+    for block in _chain_blocks(potential, chains, names):
+        tail = block[max(0, discard - done):]
+        done += len(block)
+        sums[0] += tail.sum(axis=0)
+        sums[1] += (tail**2).sum(axis=0)
+        sums[2] += (tail > 0).sum(axis=0)
+    return dict(zip(TEST_FUNCTIONS, sums / (done - discard)))
+
+
+def _dump(potential, chain, path) -> None:
+    """Re-run one chain alone through ``run_chain`` and write its trajectory."""
+    runs = []
+    for cfg in chain:
+        runs.append(run_chain(potential, replace(cfg, theta0=runs[-1].trajectory[-1])
+                              if runs else cfg))
+    replace(runs[0], trajectory=np.concatenate([r.trajectory for r in runs])
+            ).save_trajectory(path)
 
 
 def run_comparison(
     spec: ExperimentSpec,
     truth: GroundTruth | None = None,
-    threads: int = 1,
     collect_replicates: bool = False,
     trajectory_dir: str | None = None,
 ) -> MseReport:
     """Execute the full comparison described by ``spec``.
 
     ``truth`` overrides the model's ground-truth oracle (useful when a
-    reference run is cached).  ``threads`` parallelizes replicates; the
-    reduction is keyed by replicate index, so results do not depend on the
-    thread count.  ``trajectory_dir`` dumps every chain's trajectory as CSV
-    (off by default: the files are large).
+    reference run is cached).  ``trajectory_dir`` dumps every chain's
+    trajectory as CSV, re-running each chain alone (off by default: the
+    files are large and the re-runs cost more than the batched run).
     """
     potential, _ = build_model(spec)
     if truth is None:
@@ -258,8 +252,9 @@ def run_comparison(
         else:
             configs[m] = builtin_config(m, offset=spec.offset)
 
-    burn_seq = generate_cud(builtin_config(spec.burn_in_m)) if spec.burn_in_m else None
-    burn_n = burn_seq.n if burn_seq is not None else 0
+    burn_base = (_unshifted(generate_cud(builtin_config(spec.burn_in_m)), d)
+                 if spec.burn_in_m else None)
+    burn_n = 0 if burn_base is None else burn_base.n
 
     rows: list[ReportRow] = []
     replicate_rows: list[tuple] = []
@@ -270,7 +265,7 @@ def run_comparison(
     for m in spec.m_values:
         n = (1 << m) - 1
         n_run = spec.n_override if spec.n_override is not None else n
-        seq = generate_cud(configs[m])
+        main_base = _unshifted(generate_cud(configs[m]), d)
         meta_drive[m] = {
             "n": n,
             "n_run": n_run,
@@ -293,37 +288,28 @@ def run_comparison(
                     "gcd_d_ell_n": info.gcd_d_ell_n,
                 }
 
-            def lqmc_job(r):
-                return _lqmc_estimates(potential, spec, seq, burn_seq, schedule,
-                                       n_run, sched_idx, m, r, sspec.label,
-                                       trajectory_dir)
+            cell = _cell_chains(spec, d, schedule, burn_base, main_base, n_run,
+                                sched_idx, m)
+            names = [f"{spec.model} {method} m={m} schedule={sspec.label} replicate {r}"
+                     for method, r in cell]
+            means = _cell_means(potential, list(cell.values()), names, burn_n)
+            if trajectory_dir is not None:
+                for (method, r), chain in cell.items():
+                    _dump(potential, chain,
+                          f"{trajectory_dir}/{method}_m{m}_{sspec.label}_r{r}.csv")
 
-            def lmc_job(r):
-                return _lmc_estimates(potential, spec, burn_n, schedule,
-                                      n_run, sched_idx, m, r, sspec.label,
-                                      trajectory_dir)
+            reps = spec.replicates
 
-            reps = range(spec.replicates)
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    lqmc_stats = list(pool.map(lqmc_job, reps))
-                    lmc_stats = list(pool.map(lmc_job, reps))
-            else:
-                lqmc_stats = [lqmc_job(r) for r in reps]
-                lmc_stats = [lmc_job(r) for r in reps]
-
-            for method, stats in (("lmc", lmc_stats), ("lqmc", lqmc_stats)):
+            for i, method in enumerate(("lmc", "lqmc")):
                 for kind in spec.test_functions:
-                    target = truth.values(kind)
-                    errs = np.array(
-                        [((s[kind] - target) ** 2).mean() for s in stats]
-                    )
+                    est = means[kind][i * reps:(i + 1) * reps]
+                    errs = ((est - truth.values(kind)) ** 2).mean(axis=1)
                     rows.append(ReportRow(
                         model=spec.model, method=method, m=m, n=n_run,
                         schedule=sspec.label, test_fn=kind,
                         mse=float(errs.mean()),
                         stderr=float(errs.std(ddof=1) / math.sqrt(len(errs))),
-                        replicates=spec.replicates,
+                        replicates=reps,
                     ))
                     if collect_replicates:
                         replicate_rows.extend(

@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for operations that draw random inputs")
     parser.add_argument("--threads", type=int, default=1,
-                        help="parallel replicate workers for `run`")
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--output", default=None, help="output file (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--truth-cache", default=None,
                      help="load ground truth from this file if present, else compute and save")
     run.add_argument("--dump-trajectories", default=None, metavar="DIR",
-                     help="write every chain trajectory as CSV into DIR (large)")
+                     help="re-run every chain alone and dump it as CSV into DIR (large)")
 
     diag = sub.add_parser("diagnose", help="contraction coupling diagnostic")
     diag.add_argument("--model", default="quadratic",
@@ -202,7 +202,7 @@ def _cmd_run(args) -> int:
 
         os.makedirs(args.dump_trajectories, exist_ok=True)
     report = bench.run_comparison(
-        spec, truth=truth, threads=args.threads,
+        spec, truth=truth,
         collect_replicates=args.per_replicate is not None,
         trajectory_dir=args.dump_trajectories,
     )

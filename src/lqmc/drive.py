@@ -16,7 +16,7 @@ in float64 — no accumulated rounding between a shift and its inverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -85,6 +85,10 @@ class DriveMatrix:
     def rows(self) -> np.ndarray:
         """The usable uniform vectors u_1..u_n, shape (n, d)."""
         return self.full_rows[:, : self.d]
+
+    def reshifted(self, rng: BaselinePrng) -> "DriveMatrix":
+        """This arrangement (``base`` shared, not copied) under a fresh shift from ``rng``."""
+        return replace(self, shift=quantize_shift(rng.uniform(self.d_stored)))
 
     def to_csv(self, path) -> None:
         """Dump usable rows, 17 significant digits, for bit-comparison."""

@@ -11,6 +11,8 @@ small-step reference chain averaged over independent seeds.
 from __future__ import annotations
 
 import io
+import json
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -64,19 +66,30 @@ class GroundTruth:
     positive_prob_se: np.ndarray | None = None
     error_estimate: float | None = None
 
+    _ARRAYS = ("mean", "second_moment", "positive_prob",
+               "mean_se", "second_moment_se", "positive_prob_se")
+    _KINDS = {"coordinate": "mean", "square": "second_moment", "indicator": "positive_prob"}
+
     def values(self, kind: str) -> np.ndarray:
-        return {
-            "coordinate": self.mean,
-            "square": self.second_moment,
-            "indicator": self.positive_prob,
-        }[kind]
+        return getattr(self, self._KINDS[kind])
 
     def se(self, kind: str) -> np.ndarray | None:
-        return {
-            "coordinate": self.mean_se,
-            "square": self.second_moment_se,
-            "indicator": self.positive_prob_se,
-        }[kind]
+        return getattr(self, self._KINDS[kind] + "_se")
+
+    def to_dict(self) -> dict:
+        """JSON-ready payload; ``from_dict`` round-trips it."""
+        payload = {"provenance": self.provenance, "error_estimate": self.error_estimate}
+        for name in self._ARRAYS:
+            arr = getattr(self, name)
+            payload[name] = None if arr is None else [float(v) for v in arr]
+        return payload
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "GroundTruth":
+        arrays = {name: None if payload[name] is None else np.array(payload[name])
+                  for name in cls._ARRAYS}
+        return cls(provenance=payload["provenance"],
+                   error_estimate=payload["error_estimate"], **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -447,34 +460,16 @@ def max_gradient_error(potential: Potential, n_probes: int = 100, seed: int = 0,
 
 def save_ground_truth(gt: GroundTruth, path) -> None:
     """JSON dump of a GroundTruth, `load_ground_truth` round-trips it."""
-    import json
-
-    payload = {"provenance": gt.provenance, "error_estimate": gt.error_estimate}
-    for name in ("mean", "second_moment", "positive_prob",
-                 "mean_se", "second_moment_se", "positive_prob_se"):
-        arr = getattr(gt, name)
-        payload[name] = None if arr is None else [float(v) for v in arr]
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        json.dump(gt.to_dict(), fh)
 
 
 def load_ground_truth(path) -> GroundTruth:
-    import json
-
     with open(path) as fh:
-        payload = json.load(fh)
-    arrays = {
-        name: None if payload[name] is None else np.array(payload[name])
-        for name in ("mean", "second_moment", "positive_prob",
-                     "mean_se", "second_moment_se", "positive_prob_se")
-    }
-    return GroundTruth(provenance=payload["provenance"],
-                       error_estimate=payload["error_estimate"], **arrays)
+        return GroundTruth.from_dict(json.load(fh))
 
 
 def load_ground_truth_if_exists(path) -> GroundTruth | None:
-    import os
-
     return load_ground_truth(path) if os.path.exists(path) else None
 
 

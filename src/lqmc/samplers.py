@@ -1,18 +1,18 @@
 """Unadjusted Langevin chains with pluggable Gaussian drives.
 
 The update is theta_k = theta_{k-1} - h_k grad U(theta_{k-1})
-+ sqrt(2 h_k) xi_k.  The chain core never branches on where xi comes
-from: every drive kind is materialized into an (n, d) array first, so a
-quasi-random chain fed the same xi values as a pseudo-random one produces
-the identical path.  Stochastic gradients (minibatch subsampling) draw
-their indices from the baseline generator, never from the driving
++ sqrt(2 h_k) xi_k, written once, in a loop that steps a batch of chains
+as one (B, d) state.  The loop never branches on where xi comes from:
+every drive kind is read block by block into the same per-iteration rows,
+so a quasi-random chain fed the same xi values as a pseudo-random one
+produces the identical path.  Stochastic gradients (minibatch subsampling)
+draw their indices from the baseline generator, never from the driving
 sequence, so the quasi-random structure is spent on the perturbation only.
 """
 
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Union
@@ -24,6 +24,7 @@ from .errors import ConfigurationError, DivergenceError, DomainError
 from .prng import BaselinePrng
 
 _NORM_CAP_SQ = 1e16  # ||theta|| > 1e8 aborts the chain
+_BLOCK = 256  # steps per xi block of the chain loop; results do not depend on it
 
 # ---------------------------------------------------------------------------
 # Step-size schedules
@@ -106,24 +107,29 @@ class PseudoRandomDrive:
 Drive = Union[PseudoRandomDrive, DriveMatrix, GaussianDrive]
 
 
-def drive_array(drive: Drive, n: int, d: int) -> np.ndarray:
-    """Materialize n iterations of d-dimensional perturbations."""
+def _xi_source(drive: Drive, n: int, d: int):
+    """``take(b)``: the next b rows of xi, the same rows whatever the b.
+
+    A pseudo-random drive normalizes the next b*d uniforms of its stream, a
+    drive matrix maps its next b rows through ``gaussian_rows``.
+    """
     if isinstance(drive, PseudoRandomDrive):
-        u = BaselinePrng(drive.seed, drive.stream).uniform(n * d)
-        return clamped_normal(u).reshape(n, d)
-    if isinstance(drive, DriveMatrix):
-        if drive.n < n or drive.d != d:
-            raise ConfigurationError(
-                f"drive matrix is {drive.n}x{drive.d}, chain needs {n}x{d}"
-            )
-        return gaussian_rows(drive).xi[:n]
-    if isinstance(drive, GaussianDrive):
-        if drive.n < n or drive.d != d:
-            raise ConfigurationError(
-                f"gaussian drive is {drive.n}x{drive.d}, chain needs {n}x{d}"
-            )
-        return drive.xi[:n]
-    raise ConfigurationError(f"unknown drive kind {type(drive).__name__}")
+        rng = BaselinePrng(drive.seed, drive.stream)
+        return lambda b: clamped_normal(rng.uniform(b * d)).reshape(b, d)
+    if not isinstance(drive, (DriveMatrix, GaussianDrive)):
+        raise ConfigurationError(f"unknown drive kind {type(drive).__name__}")
+    if drive.n < n or drive.d != d:
+        raise ConfigurationError(f"drive is {drive.n}x{drive.d}, chain needs {n}x{d}")
+    pos = 0
+
+    def take(b):
+        nonlocal pos
+        lo, pos = pos, pos + b
+        if isinstance(drive, GaussianDrive):
+            return drive.xi[lo:pos]
+        return gaussian_rows(replace(drive, base=drive.base[lo:pos])).xi
+
+    return take
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +169,6 @@ class ChainRun:
     config: ChainConfig
     potential: object
     segments: tuple[int, ...]
-    wall_time: float = 0.0
 
     @property
     def n(self) -> int:
@@ -176,69 +181,72 @@ class ChainRun:
         np.savetxt(path, data, fmt=["%d"] + ["%.17g"] * d, delimiter=",")
 
 
-def lmc_step(theta: np.ndarray, gradient: np.ndarray, h: float, xi: np.ndarray) -> np.ndarray:
-    """One Euler-Maruyama update: theta - h*gradient + sqrt(2h)*xi."""
-    theta = np.asarray(theta, dtype=np.float64)
-    gradient = np.asarray(gradient, dtype=np.float64)
-    xi = np.asarray(xi, dtype=np.float64)
-    if theta.shape != gradient.shape or theta.shape != xi.shape:
-        raise DomainError("theta, gradient and xi must share a shape")
-    if not h > 0:
-        raise DomainError("step size must be positive")
-    out = theta - h * gradient + math.sqrt(2.0 * h) * xi
-    if not np.all(np.isfinite(out)):
-        raise DomainError("non-finite values in the update")
-    return out
+def _chain_blocks(potential, chains, names):
+    """The Langevin loop: B chains stepped side by side as one (B, d) state.
 
-
-def _gradient_fn(potential, config: ChainConfig):
-    if config.minibatch is None:
-        return potential.grad
-    if potential.sgrad is None:
+    Each chain is a list of consecutive ``ChainConfig`` segments started
+    from the first one's ``theta0``; the chains share d, schedule, first
+    iteration, total length and minibatch size, but not segment boundaries.
+    Gradients are exact through ``grad_batch`` or one minibatch ``sgrad``
+    per row.  Each segment reads xi from its own drive, in blocks of at most
+    ``_BLOCK`` steps, and minibatch indices from its own stream.  Yields the
+    (b, B, d) state blocks; a row leaving ||theta|| <= 1e8 raises
+    DivergenceError naming ``names[row]``.
+    """
+    head = chains[0][0]
+    d, batch, start = head.dim, head.minibatch, head.schedule_start
+    if potential.dim != d:
         raise ConfigurationError(
-            f"potential {potential.name!r} does not support stochastic gradients"
-        )
-    if potential.num_data is None or config.minibatch > potential.num_data:
-        raise ConfigurationError("minibatch size exceeds the dataset")
-    rng = BaselinePrng(config.minibatch_seed, config.minibatch_stream)
+            f"potential dimension {potential.dim} != initial point dimension {d}")
+    if batch is None and potential.grad_batch is None:
+        raise ConfigurationError(f"potential {potential.name!r} has no batched gradient")
+    if batch is not None and potential.sgrad is None:
+        raise ConfigurationError(
+            f"potential {potential.name!r} does not support stochastic gradients")
     n_data = potential.num_data
-    batch = config.minibatch
-
-    def grad(theta):
-        return potential.sgrad(theta, rng.index_subset(n_data, batch))
-
-    return grad
+    if batch is not None and (n_data is None or batch > n_data):
+        raise ConfigurationError("minibatch size exceeds the dataset")
+    n = sum(c.n_steps for c in chains[0])
+    hs = head.schedule.step_sizes(n, start=start)
+    sq2h = np.sqrt(2.0 * hs)
+    theta = np.stack([chain[0].theta0 for chain in chains])
+    pending = [list(chain) for chain in chains]
+    left = [0] * len(chains)  # steps left in each row's current segment
+    sources, rngs = [None] * len(chains), [None] * len(chains)
+    k = 0
+    while k < n:
+        for i, segs in enumerate(pending):
+            while left[i] == 0:
+                cfg = segs.pop(0)
+                sources[i] = _xi_source(cfg.drive, cfg.n_steps, d)
+                rngs[i] = BaselinePrng(cfg.minibatch_seed, cfg.minibatch_stream)
+                left[i] = cfg.n_steps
+        b = min(_BLOCK, *left)
+        xi = np.stack([take(b) for take in sources], axis=1)
+        block = np.empty((b,) + theta.shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
+            for j in range(b):
+                if batch is None:
+                    grad = potential.grad_batch(theta)
+                else:
+                    grad = np.stack([potential.sgrad(x, rng.index_subset(n_data, batch))
+                                     for x, rng in zip(theta, rngs)])
+                theta = block[j] = theta - hs[k + j] * grad + sq2h[k + j] * xi[j]
+        ok = np.einsum("jid,jid->ji", block, block) <= _NORM_CAP_SQ  # False for NaN too
+        if not ok.all():
+            j, row = np.unravel_index(np.argmin(ok), ok.shape)  # first step, then first row
+            raise DivergenceError(start + k + j,
+                                  f"{names[row]} diverged at iteration {start + k + j}")
+        left = [c - b for c in left]
+        k += b
+        yield block
 
 
 def run_chain(potential, config: ChainConfig) -> ChainRun:
-    """Run one chain; aborts with DivergenceError if ||theta|| exceeds 1e8."""
-    d = config.dim
-    if potential.dim != d:
-        raise ConfigurationError(
-            f"potential dimension {potential.dim} != initial point dimension {d}"
-        )
-    n = config.n_steps
-    xi = drive_array(config.drive, n, d)
-    hs = config.schedule.step_sizes(n, start=config.schedule_start)
-    sq2h = np.sqrt(2.0 * hs)
-    grad = _gradient_fn(potential, config)
-
-    t0 = time.perf_counter()
-    theta = config.theta0.copy()
-    traj = np.empty((n, d))
-    for k in range(n):
-        theta = theta - hs[k] * grad(theta) + sq2h[k] * xi[k]
-        sq = theta @ theta
-        if not sq <= _NORM_CAP_SQ:  # catches NaN as well
-            raise DivergenceError(config.schedule_start + k)
-        traj[k] = theta
-    return ChainRun(
-        trajectory=traj,
-        config=config,
-        potential=potential,
-        segments=(n,),
-        wall_time=time.perf_counter() - t0,
-    )
+    """Run one chain, the batched loop with one row; DivergenceError past ||theta|| = 1e8."""
+    blocks = _chain_blocks(potential, [[config]], ["chain"])
+    traj = np.concatenate([np.empty((0, 1, config.dim)), *blocks])[:, 0]
+    return ChainRun(traj, config, potential, segments=(config.n_steps,))
 
 
 def continue_chain(run: ChainRun, next_drive: Drive, extra_n: int) -> ChainRun:
@@ -266,7 +274,6 @@ def continue_chain(run: ChainRun, next_drive: Drive, extra_n: int) -> ChainRun:
         config=replace(cfg, n_steps=cfg.n_steps + extra_n),
         potential=run.potential,
         segments=run.segments + (extra_n,),
-        wall_time=run.wall_time + tail.wall_time,
     )
 
 
@@ -289,9 +296,9 @@ def coupling_diagnostic(
     per-step ratio is bounded by 1 - h*M; a warning is emitted if declared
     constants say the step size violates that condition.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    theta_prime = np.atleast_1d(np.asarray(theta_prime, dtype=np.float64))
-    if theta.shape != theta_prime.shape:
+    a, b = (ChainConfig(x, steps, ConstantSchedule(h), shared_drive)
+            for x in (theta, theta_prime))
+    if a.theta0.shape != b.theta0.shape:
         raise ConfigurationError("the two start points must share a dimension")
     L, M = potential.smoothness, potential.strong_convexity
     if L is not None and M is not None and h > 2.0 / (L + M):
@@ -299,17 +306,10 @@ def coupling_diagnostic(
             f"h={h:g} exceeds 2/(L+M)={2.0 / (L + M):g}; contraction bound void",
             stacklevel=2,
         )
-    d = len(theta)
-    xi = drive_array(shared_drive, steps, d)
-    dist = np.empty(steps + 1)
-    dist[0] = np.linalg.norm(theta - theta_prime)
-    a, b = theta.copy(), theta_prime.copy()
-    sq2h = math.sqrt(2.0 * h)
-    for k in range(steps):
-        a = a - h * potential.grad(a) + sq2h * xi[k]
-        b = b - h * potential.grad(b) + sq2h * xi[k]
-        dist[k + 1] = np.linalg.norm(a - b)
-    return dist
+    dist = [np.linalg.norm(a.theta0 - b.theta0)]
+    for block in _chain_blocks(potential, [[a], [b]], ["theta", "theta'"]):
+        dist.extend(np.linalg.norm(block[:, 0] - block[:, 1], axis=1))
+    return np.array(dist)
 
 
 @dataclass(frozen=True)

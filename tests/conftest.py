@@ -22,24 +22,11 @@ def spec_path(name: str) -> pathlib.Path:
 def _cached_truth(request, key: str, spec_name: str) -> models.GroundTruth:
     cached = request.config.cache.get(key, None)
     if cached is not None:
-        import numpy as np
-
-        arrays = {
-            k: None if v is None else np.array(v)
-            for k, v in cached.items()
-            if k not in ("provenance", "error_estimate")
-        }
-        return models.GroundTruth(provenance=cached["provenance"],
-                                  error_estimate=cached["error_estimate"], **arrays)
+        return models.GroundTruth.from_dict(cached)
     spec = load_spec(spec_path(spec_name))
     potential, _ = bench.build_model(spec)
     truth = bench.ground_truth_for(spec, potential)
-    payload = {"provenance": truth.provenance, "error_estimate": truth.error_estimate}
-    for k in ("mean", "second_moment", "positive_prob",
-              "mean_se", "second_moment_se", "positive_prob_se"):
-        arr = getattr(truth, k)
-        payload[k] = None if arr is None else [float(v) for v in arr]
-    request.config.cache.set(key, payload)
+    request.config.cache.set(key, truth.to_dict())
     return truth
 
 

@@ -1,17 +1,24 @@
 """Harness mechanics: estimators, the LCG demo, and report plumbing."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
-from lqmc import bench
+from lqmc import bench, samplers
 from lqmc.bench import (MseReport, estimate, iid_pointset,
                         is_primitive_root, lcg_demo, run_comparison,
                         smallest_primitive_root)
 from lqmc.errors import ConfigurationError, DomainError
 from lqmc.experiment import ExperimentSpec, ScheduleSpec
-from lqmc.models import standard_gaussian_potential
+from lqmc.models import GroundTruth, standard_gaussian_potential
+from lqmc.prng import BaselinePrng
 from lqmc.samplers import (ChainConfig, ConstantSchedule, PseudoRandomDrive,
                            run_chain)
+
+
+def _flat_truth(d):
+    return GroundTruth(np.zeros(d), np.ones(d), np.full(d, 0.5), "test")
 
 
 def _tiny_spec(**overrides):
@@ -120,10 +127,58 @@ class TestRunComparison:
         b = run_comparison(_tiny_spec()).to_csv()
         assert a == b
 
-    def test_threads_do_not_change_the_report(self):
-        a = run_comparison(_tiny_spec()).to_csv()
-        b = run_comparison(_tiny_spec(), threads=4).to_csv()
-        assert a == b
+    def test_block_length_does_not_change_the_report(self, monkeypatch):
+        spec = _tiny_spec(m_values=(5,), burn_in_m=3)
+        a = run_comparison(spec).rows
+        monkeypatch.setattr(samplers, "_BLOCK", 7)
+        b = run_comparison(spec).rows
+        assert [r[:6] for r in map(astuple, a)] == [r[:6] for r in map(astuple, b)]
+        for x, y in zip(a, b):
+            assert y.mse == pytest.approx(x.mse, rel=1e-12, abs=0)
+            assert y.stderr == pytest.approx(x.stderr, rel=1e-12, abs=0)
+
+    def test_minibatch_streams_distinct_after_burn_in(self, monkeypatch):
+        # One stream per chain segment: R LMC chains, R LQMC burn-ins and R
+        # LQMC main segments, none shared between replicates.
+        streams = set()
+        original = BaselinePrng.index_subset
+
+        def recording(self, n, k):
+            streams.add((self.seed, self.stream))
+            return original(self, n, k)
+
+        monkeypatch.setattr(BaselinePrng, "index_subset", recording)
+        spec = ExperimentSpec(
+            model="logistic", m_values=(4,), n_obs=12, dim=2, replicates=3,
+            minibatch=4, burn_in_m=3, schedules=(ScheduleSpec(kind="constant", h=0.01),),
+        )
+        run_comparison(spec, truth=_flat_truth(2))
+        assert len(streams) == 3 * spec.replicates
+
+    @pytest.mark.parametrize("spec", [
+        _tiny_spec(m_values=(4, 5)),
+        ExperimentSpec(model="logistic", m_values=(5,), n_obs=12, dim=2, seed=3,
+                       replicates=2, minibatch=4, burn_in_m=3,
+                       schedules=(ScheduleSpec(kind="constant", h=0.01),)),
+        ExperimentSpec(model="double_well", m_values=(6,), seed=1, replicates=3,
+                       burn_in_m=3, schedules=(ScheduleSpec(kind="constant", h=0.05),)),
+    ], ids=["linear", "logistic-minibatch", "double-well-burn-in"])
+    def test_dumped_chains_reproduce_the_batched_errors(self, spec, tmp_path):
+        # Each dump re-runs one chain alone; its errors must match the ones
+        # the batched cell reduced online.
+        truth = _flat_truth(spec.dim) if spec.model == "logistic" else None
+        report = run_comparison(spec, truth=truth, collect_replicates=True,
+                                trajectory_dir=str(tmp_path))
+        if truth is None:
+            truth = bench.ground_truth_for(spec, bench.build_model(spec)[0])
+        burn = report.metadata["burn_in_n"]
+        for _, method, m, sched, fn, r, sq_err in report.replicate_rows:
+            traj = np.loadtxt(tmp_path / f"{method}_m{m}_{sched}_r{r}.csv",
+                              delimiter=",", ndmin=2)[burn:, 1:]
+            est = {"coordinate": traj.mean(axis=0), "square": (traj**2).mean(axis=0),
+                   "indicator": (traj > 0).mean(axis=0)}[fn]
+            redone = float(((est - truth.values(fn)) ** 2).mean())
+            assert redone == pytest.approx(sq_err, rel=1e-10, abs=0), (method, m, fn, r)
 
     def test_mse_rederivable_from_replicate_dump(self):
         report = run_comparison(_tiny_spec(), collect_replicates=True)

@@ -1,5 +1,7 @@
 """CLI subcommands, exit codes, and output determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -119,7 +121,7 @@ run: {replicates: 3, seed: 5, test_functions: [coordinate]}
                         "schedules: [{kind: constant, h: 0.01}]\n")
         assert run_cli("run", str(spec)) == EXIT_VALIDATION
 
-    def test_divergence_exit_code(self, tmp_path):
+    def test_divergence_exit_code(self, tmp_path, capsys):
         spec = tmp_path / "diverge.yaml"
         spec.write_text(
             "model: {kind: linear, n_obs: 8, dim: 3, data_seed: 2}\n"
@@ -128,6 +130,9 @@ run: {replicates: 3, seed: 5, test_functions: [coordinate]}
             "run: {replicates: 2, seed: 0, test_functions: [coordinate]}\n"
         )
         assert run_cli("run", str(spec)) == EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert re.search(r"linear (lmc|lqmc) m=4 schedule=constant_h5 replicate [01] "
+                         r"diverged at iteration \d+", err), err
 
     def test_truth_cache_round_trip(self, tmp_path):
         spec = tmp_path / "tiny.yaml"

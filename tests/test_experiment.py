@@ -93,6 +93,17 @@ class TestExperimentSpecValidation:
         with pytest.raises(SpecError):
             ExperimentSpec.from_yaml(self._yaml_with_mask("0x12"))  # x divides it
 
+    def test_offset_must_be_coprime_with_every_period(self):
+        with pytest.raises(SpecError, match="coprime with 2\\^4-1=15"):
+            self._ok(m_values=(5, 4), offset=3)
+        assert self._ok(m_values=(5,), offset=3).offset == 3  # 31 is prime
+
+    def test_solved_schedule_needs_two_steps_at_load(self):
+        solved = (ScheduleSpec(kind="solved", h_start=0.01, h_end=0.001),)
+        with pytest.raises(SpecError, match="n >= 2"):
+            self._ok(schedules=solved, n_override=1)
+        assert self._ok(schedules=solved, n_override=1, burn_in_m=3).n_override == 1
+
     def test_unknown_test_function(self):
         with pytest.raises(SpecError):
             self._ok(test_functions=("cube",))

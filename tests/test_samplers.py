@@ -6,46 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqmc.cud_core import builtin_config, generate_cud
-from lqmc.drive import GaussianDrive, build_drive_matrix
+from lqmc.drive import GaussianDrive, build_drive_matrix, clamped_normal
 from lqmc.errors import ConfigurationError, DivergenceError, DomainError
 from lqmc.models import (linear_regression_potential, logistic_potential,
                          standard_gaussian_potential, synthesize_data)
 from lqmc.prng import BaselinePrng
 from lqmc.samplers import (ChainConfig, ConstantSchedule, PolynomialSchedule,
                            PseudoRandomDrive, ContractionInfo, continue_chain,
-                           contraction_info, coupling_diagnostic, drive_array,
-                           lmc_step, run_chain, solve_polynomial_schedule)
+                           contraction_info, coupling_diagnostic, run_chain,
+                           solve_polynomial_schedule)
 
 
 class TestLmcStep:
-    def test_unit_diffusion_coefficient(self):
-        out = lmc_step(np.zeros(2), np.zeros(2), 0.5, np.ones(2))
-        assert out.tolist() == [1.0, 1.0]
-
-    def test_pure_drift(self):
-        assert lmc_step(np.array([2.0]), np.array([2.0]), 0.5, np.zeros(1))[0] == 1.0
-
-    def test_quadratic_contraction_factor(self):
-        theta = np.array([1.0])
-        out = lmc_step(theta, theta, 0.1, np.zeros(1))
-        assert out[0] == pytest.approx(0.9, abs=1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DomainError):
-            lmc_step(np.zeros(2), np.zeros(3), 0.1, np.zeros(2))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            lmc_step(np.array([np.inf]), np.zeros(1), 0.1, np.zeros(1))
-
     def test_run_chain_iterates_the_same_update(self):
         pot = standard_gaussian_potential(2)
         xi = np.array([[0.3, -1.2]])
         run = run_chain(pot, ChainConfig(np.array([1.0, 2.0]), 1,
                                          ConstantSchedule(0.05),
                                          GaussianDrive(xi=xi)))
-        manual = lmc_step(np.array([1.0, 2.0]), pot.grad(np.array([1.0, 2.0])),
-                          0.05, xi[0])
+        theta = np.array([1.0, 2.0])
+        manual = theta - 0.05 * pot.grad(theta) + np.sqrt(2.0 * 0.05) * xi[0]
         assert np.array_equal(run.trajectory[0], manual)
 
 
@@ -118,7 +98,7 @@ class TestRunChain:
         # feeding the captured xi of a pseudo-random run back in as a fixed
         # gaussian drive reproduces the trajectory bit for bit
         pot = standard_gaussian_potential(3)
-        xi = drive_array(PseudoRandomDrive(21), 400, 3)
+        xi = clamped_normal(BaselinePrng(21).uniform(400 * 3)).reshape(400, 3)
         a = run_chain(pot, ChainConfig(np.zeros(3), 400, ConstantSchedule(0.05),
                                        PseudoRandomDrive(21)))
         b = run_chain(pot, ChainConfig(np.zeros(3), 400, ConstantSchedule(0.05),
