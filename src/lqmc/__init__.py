@@ -19,7 +19,7 @@ from .models import (GroundTruth, Potential, SyntheticDataset,
                      reference_ground_truth, standard_gaussian_potential,
                      synthesize_data)
 from .prng import BaselinePrng
-from .samplers import (ChainConfig, ChainRun, ConstantSchedule,
+from .samplers import (ChainBatch, ChainConfig, ChainRun, ConstantSchedule,
                        PolynomialSchedule, PseudoRandomDrive, continue_chain,
                        contraction_info, coupling_diagnostic, run_chain,
                        solve_polynomial_schedule)

@@ -14,7 +14,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,9 +29,8 @@ from .models import (GroundTruth, closed_form_posterior,
                      logistic_potential, reference_ground_truth,
                      synthesize_data)
 from .prng import BaselinePrng
-from .samplers import (ChainConfig, ChainRun, ConstantSchedule,
-                       PseudoRandomDrive, _chain_blocks, contraction_info,
-                       run_chain)
+from .samplers import (ChainBatch, ChainConfig, ChainRun, ConstantSchedule,
+                       PseudoRandomDrive, contraction_info, run_chain)
 
 # Stream-id roles, combined as ((sched_idx * 8 + role) << 40) | (m << 20) | r;
 # the spec loader keeps r below experiment.MAX_REPLICATES = 2**20.
@@ -188,40 +187,41 @@ def _cell_chains(spec, d, schedule, burn_base, main_base, n_run, sched_idx, m):
 
     reps = range(spec.replicates)
     noise = [PseudoRandomDrive(spec.seed, _stream(sched_idx, _ROLE_NOISE, m, r)) for r in reps]
-    chains = {("lmc", r): [segment(burn_n + n_run, noise[r], _ROLE_MINIBATCH_LMC, r)]
+    chains = {("lmc", r): (segment(burn_n + n_run, noise[r], _ROLE_MINIBATCH_LMC, r),)
               for r in reps}
     for r in reps:
         rng = BaselinePrng(spec.seed, _stream(sched_idx, _ROLE_SHIFT, m, r))
-        burn = [] if burn_base is None else [
-            segment(burn_n, burn_base.reshifted(rng), _ROLE_MINIBATCH_LQMC, r)]
+        burn = () if burn_base is None else (
+            segment(burn_n, burn_base.reshifted(rng), _ROLE_MINIBATCH_LQMC, r),)
         role = _ROLE_MINIBATCH_LQMC_RUN if burn else _ROLE_MINIBATCH_LQMC
-        chains["lqmc", r] = burn + [segment(n_run, main_base.reshifted(rng), role, r,
-                                            start=1 + burn_n)]
+        chains["lqmc", r] = burn + (segment(n_run, main_base.reshifted(rng), role, r,
+                                            start=1 + burn_n),)
     return chains
 
 
-def _cell_means(potential, chains, names, discard: int) -> dict[str, np.ndarray]:
+def _cell_means(potential, batch: ChainBatch, discard: int) -> dict[str, np.ndarray]:
     """Per-chain averages of theta, theta**2 and 1{theta > 0} (one (chains, d)
     array per test-function kind) over the steps after ``discard``."""
-    sums = np.zeros((3, len(chains), potential.dim))
+    sums = np.zeros((3, len(batch.chains), potential.dim))
     done = 0
-    for block in _chain_blocks(potential, chains, names):
+
+    def observe(block):
+        nonlocal done
         tail = block[max(0, discard - done):]
         done += len(block)
         sums[0] += tail.sum(axis=0)
         sums[1] += (tail**2).sum(axis=0)
         sums[2] += (tail > 0).sum(axis=0)
+
+    run_chain(potential, batch, observe)
     return dict(zip(TEST_FUNCTIONS, sums / (done - discard)))
 
 
 def _dump(potential, chain, path) -> None:
     """Re-run one chain alone through ``run_chain`` and write its trajectory."""
-    runs = []
-    for cfg in chain:
-        runs.append(run_chain(potential, replace(cfg, theta0=runs[-1].trajectory[-1])
-                              if runs else cfg))
-    replace(runs[0], trajectory=np.concatenate([r.trajectory for r in runs])
-            ).save_trajectory(path)
+    blocks: list = []
+    run_chain(potential, ChainBatch((chain,), ("chain",)), blocks.append)
+    ChainRun(np.concatenate(blocks)[:, 0], chain[0], potential, ()).save_trajectory(path)
 
 
 def run_comparison(
@@ -290,9 +290,9 @@ def run_comparison(
 
             cell = _cell_chains(spec, d, schedule, burn_base, main_base, n_run,
                                 sched_idx, m)
-            names = [f"{spec.model} {method} m={m} schedule={sspec.label} replicate {r}"
-                     for method, r in cell]
-            means = _cell_means(potential, list(cell.values()), names, burn_n)
+            names = tuple(f"{spec.model} {method} m={m} schedule={sspec.label} replicate {r}"
+                          for method, r in cell)
+            means = _cell_means(potential, ChainBatch(tuple(cell.values()), names), burn_n)
             if trajectory_dir is not None:
                 for (method, r), chain in cell.items():
                     _dump(potential, chain,

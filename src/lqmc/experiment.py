@@ -8,13 +8,12 @@ before any work starts, and parse -> serialize -> parse is the identity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import yaml
 
-from .cud_core import TABLE_RANGE, Gf2Poly, is_primitive
+from .cud_core import TABLE_RANGE, Gf2Poly, LfsrConfig, is_primitive
 from .errors import ConfigurationError, SpecError
 from .samplers import (ConstantSchedule, PolynomialSchedule, StepSchedule,
                        solve_polynomial_schedule)
@@ -166,18 +165,15 @@ class ExperimentSpec:
                 raise SpecError(f"poly_mask 0x{mask:x}: {exc}") from exc
             if not primitive:
                 raise SpecError(f"poly_mask 0x{mask:x} is not primitive")
-        # LfsrConfig's offset condition, and every schedule resolved for its run.
         burn_n = (1 << self.burn_in_m) - 1 if self.burn_in_m else 0
         for m in self.m_values:
-            n = (1 << m) - 1
-            if self.offset is not None and (self.offset < 1 or math.gcd(self.offset, n) != 1):
-                raise SpecError(f"offset {self.offset} must be positive and coprime "
-                                f"with 2^{m}-1={n}")
             try:
+                if self.offset is not None:
+                    LfsrConfig.check_offset(self.offset, m)
                 for sched in self.schedules:
-                    sched.resolve(burn_n + (self.n_override or n))
+                    sched.resolve(burn_n + (self.n_override or (1 << m) - 1))
             except ConfigurationError as exc:
-                raise SpecError(f"schedule {sched.label} at m={m}: {exc}") from exc
+                raise SpecError(f"m={m}: {exc}") from exc
 
     # -- serialization ------------------------------------------------------
 

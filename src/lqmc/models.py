@@ -37,8 +37,8 @@ class Potential:
     ``sgrad(theta, idx)`` must return an unbiased gradient estimate
     from the data subset ``idx``:  grad(prior) + (N/|idx|) * sum of the
     selected per-datum likelihood gradients.  ``grad_batch`` evaluates the
-    exact gradient on a stack of points, used by the reference-chain
-    oracle.  ``smoothness``/``strong_convexity`` are the (L, M) constants
+    exact gradient on a stack of points, used by batched chains and the
+    reference-chain oracle.  ``smoothness``/``strong_convexity`` are the (L, M) constants
     when known.
     """
 
@@ -68,13 +68,20 @@ class GroundTruth:
 
     _ARRAYS = ("mean", "second_moment", "positive_prob",
                "mean_se", "second_moment_se", "positive_prob_se")
-    _KINDS = {"coordinate": "mean", "square": "second_moment", "indicator": "positive_prob"}
 
     def values(self, kind: str) -> np.ndarray:
-        return getattr(self, self._KINDS[kind])
+        return {
+            "coordinate": self.mean,
+            "square": self.second_moment,
+            "indicator": self.positive_prob,
+        }[kind]
 
     def se(self, kind: str) -> np.ndarray | None:
-        return getattr(self, self._KINDS[kind] + "_se")
+        return {
+            "coordinate": self.mean_se,
+            "square": self.second_moment_se,
+            "indicator": self.positive_prob_se,
+        }[kind]
 
     def to_dict(self) -> dict:
         """JSON-ready payload; ``from_dict`` round-trips it."""

@@ -181,38 +181,73 @@ class ChainRun:
         np.savetxt(path, data, fmt=["%d"] + ["%.17g"] * d, delimiter=",")
 
 
-def _chain_blocks(potential, chains, names):
-    """The Langevin loop: B chains stepped side by side as one (B, d) state.
+@dataclass(frozen=True)
+class ChainBatch:
+    """Chains stepped side by side, each a tuple of consecutive ``ChainConfig``
+    segments started from the first one's ``theta0``.  The chains share d,
+    schedule, first iteration, total length and minibatch size, but not
+    segment boundaries; ``names`` label them in divergence messages."""
 
-    Each chain is a list of consecutive ``ChainConfig`` segments started
-    from the first one's ``theta0``; the chains share d, schedule, first
-    iteration, total length and minibatch size, but not segment boundaries.
-    Gradients are exact through ``grad_batch`` or one minibatch ``sgrad``
-    per row.  Each segment reads xi from its own drive, in blocks of at most
-    ``_BLOCK`` steps, and minibatch indices from its own stream.  Yields the
-    (b, B, d) state blocks; a row leaving ||theta|| <= 1e8 raises
-    DivergenceError naming ``names[row]``.
+    chains: tuple[tuple[ChainConfig, ...], ...]
+    names: tuple[str, ...]
+
+    def __post_init__(self):
+        if (len({sum(c.n_steps for c in chain) for chain in self.chains}) != 1
+                or len(self.names) != len(self.chains)):
+            raise ConfigurationError("a batch needs named chains of one total length")
+
+    @property
+    def n_steps(self) -> int:
+        """Langevin updates over all chains: B times the chain length."""
+        return sum(c.n_steps for chain in self.chains for c in chain)
+
+
+def run_chain(potential, config, observe=None) -> ChainRun | None:
+    """Run one chain, or a ``ChainBatch`` side by side as one (B, d) state.
+
+    A ``ChainConfig`` returns its ``ChainRun``.  A ``ChainBatch`` keeps no
+    trajectory: ``observe`` receives each (b, B, d) block of states as it
+    is made, and the call returns None.  Gradients are exact (``grad`` for
+    a lone chain, ``grad_batch`` for several) or one minibatch ``sgrad``
+    per row.  Each segment reads xi from its own drive, in blocks of at
+    most ``_BLOCK`` steps, and minibatch indices from its own stream.  A
+    row leaving ||theta|| <= 1e8 raises DivergenceError naming it.
     """
-    head = chains[0][0]
-    d, batch, start = head.dim, head.minibatch, head.schedule_start
+    batch = config if isinstance(config, ChainBatch) else ChainBatch(((config,),), ("chain",))
+    blocks: list = []
+    if batch is not config:
+        observe = blocks.append
+    head, rows = batch.chains[0][0], len(batch.chains)
+    d, size, start = head.dim, head.minibatch, head.schedule_start
     if potential.dim != d:
         raise ConfigurationError(
             f"potential dimension {potential.dim} != initial point dimension {d}")
-    if batch is None and potential.grad_batch is None:
+    sources, rngs = [None] * rows, [None] * rows
+    if size is not None:
+        n_data = potential.num_data
+        if potential.sgrad is None:
+            raise ConfigurationError(
+                f"potential {potential.name!r} does not support stochastic gradients")
+        if n_data is None or size > n_data:
+            raise ConfigurationError("minibatch size exceeds the dataset")
+
+        def grad_of(theta):
+            return np.array([potential.sgrad(x, rng.index_subset(n_data, size))
+                             for x, rng in zip(theta, rngs)])
+    elif rows == 1:  # grad on a vector costs less than grad_batch on a (1, d) stack
+
+        def grad_of(theta):
+            return potential.grad(theta[0])[None]
+    elif potential.grad_batch is None:
         raise ConfigurationError(f"potential {potential.name!r} has no batched gradient")
-    if batch is not None and potential.sgrad is None:
-        raise ConfigurationError(
-            f"potential {potential.name!r} does not support stochastic gradients")
-    n_data = potential.num_data
-    if batch is not None and (n_data is None or batch > n_data):
-        raise ConfigurationError("minibatch size exceeds the dataset")
-    n = sum(c.n_steps for c in chains[0])
+    else:
+        grad_of = potential.grad_batch
+    n = batch.n_steps // rows
     hs = head.schedule.step_sizes(n, start=start)
     sq2h = np.sqrt(2.0 * hs)
-    theta = np.stack([chain[0].theta0 for chain in chains])
-    pending = [list(chain) for chain in chains]
-    left = [0] * len(chains)  # steps left in each row's current segment
-    sources, rngs = [None] * len(chains), [None] * len(chains)
+    theta = np.stack([chain[0].theta0 for chain in batch.chains])
+    pending = [list(chain) for chain in batch.chains]
+    left = [0] * rows  # steps left in each row's current segment
     k = 0
     while k < n:
         for i, segs in enumerate(pending):
@@ -226,26 +261,18 @@ def _chain_blocks(potential, chains, names):
         block = np.empty((b,) + theta.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
             for j in range(b):
-                if batch is None:
-                    grad = potential.grad_batch(theta)
-                else:
-                    grad = np.stack([potential.sgrad(x, rng.index_subset(n_data, batch))
-                                     for x, rng in zip(theta, rngs)])
-                theta = block[j] = theta - hs[k + j] * grad + sq2h[k + j] * xi[j]
+                theta = block[j] = theta - hs[k + j] * grad_of(theta) + sq2h[k + j] * xi[j]
         ok = np.einsum("jid,jid->ji", block, block) <= _NORM_CAP_SQ  # False for NaN too
         if not ok.all():
             j, row = np.unravel_index(np.argmin(ok), ok.shape)  # first step, then first row
-            raise DivergenceError(start + k + j,
-                                  f"{names[row]} diverged at iteration {start + k + j}")
+            raise DivergenceError(start + k + j, f"{batch.names[row]} diverged at "
+                                                 f"iteration {start + k + j}")
         left = [c - b for c in left]
         k += b
-        yield block
-
-
-def run_chain(potential, config: ChainConfig) -> ChainRun:
-    """Run one chain, the batched loop with one row; DivergenceError past ||theta|| = 1e8."""
-    blocks = _chain_blocks(potential, [[config]], ["chain"])
-    traj = np.concatenate([np.empty((0, 1, config.dim)), *blocks])[:, 0]
+        observe(block)
+    if batch is config:
+        return None
+    traj = np.concatenate([np.empty((0, 1, d)), *blocks])[:, 0]
     return ChainRun(traj, config, potential, segments=(config.n_steps,))
 
 
@@ -307,8 +334,8 @@ def coupling_diagnostic(
             stacklevel=2,
         )
     dist = [np.linalg.norm(a.theta0 - b.theta0)]
-    for block in _chain_blocks(potential, [[a], [b]], ["theta", "theta'"]):
-        dist.extend(np.linalg.norm(block[:, 0] - block[:, 1], axis=1))
+    run_chain(potential, ChainBatch(((a,), (b,)), ("theta", "theta'")),
+              lambda block: dist.extend(np.linalg.norm(block[:, 0] - block[:, 1], axis=1)))
     return np.array(dist)
 
 
