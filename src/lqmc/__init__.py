@@ -1,7 +1,7 @@
 """Langevin sampling driven by full-period LFSR sequences, plus a benchmark harness."""
 
-from .bench import (MseReport, TestFunction, estimate, iid_pointset, lcg_demo,
-                    run_comparison, smallest_primitive_root)
+from .bench import (MseReport, iid_pointset, lcg_demo, run_comparison,
+                    smallest_primitive_root)
 from .cud_core import (CudSequence, Gf2Poly, LfsrConfig, PointSet,
                        builtin_config, builtin_poly, generate_cud,
                        is_primitive, lfsr_bitstream, lfsr_period,

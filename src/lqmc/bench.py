@@ -38,47 +38,10 @@ _ROLE_SHIFT = 0
 _ROLE_NOISE = 1
 _ROLE_MINIBATCH_LQMC = 2
 _ROLE_MINIBATCH_LMC = 3
-_ROLE_MINIBATCH_LQMC_RUN = 4  # LQMC indices after a burn-in segment
 
 
 def _stream(sched_idx: int, role: int, m: int, r: int) -> int:
     return ((sched_idx * 8 + role) << 40) | (m << 20) | r
-
-
-# ---------------------------------------------------------------------------
-# Test functions and the sample-average estimator
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """f(x) = x_j, x_j**2, or 1{x_j > 0}; ``index`` is the 1-based j."""
-
-    kind: str
-    index: int = 1
-
-    def __post_init__(self):
-        if self.kind not in TEST_FUNCTIONS:
-            raise DomainError(f"unknown test function kind {self.kind!r}")
-        if self.index < 1:
-            raise DomainError("coordinate index is 1-based and must be >= 1")
-
-    def evaluate(self, states: np.ndarray) -> np.ndarray:
-        x = states[:, self.index - 1]
-        if self.kind == "coordinate":
-            return x
-        if self.kind == "square":
-            return x * x
-        return (x > 0).astype(np.float64)
-
-
-def estimate(run: ChainRun, f: TestFunction, discard: int = 0) -> float:
-    """Mean of f over theta_{discard+1}..theta_n."""
-    if not 0 <= discard < run.n:
-        raise DomainError(f"discard must be in [0, {run.n}), got {discard}")
-    if f.index > run.trajectory.shape[1]:
-        raise DomainError("test-function coordinate exceeds the chain dimension")
-    return float(f.evaluate(run.trajectory[discard:]).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +138,7 @@ def _unshifted(seq, d: int) -> DriveMatrix:
 
 def _cell_chains(spec, d, schedule, burn_base, main_base, n_run, sched_idx, m):
     """Segments of the chains of one (m, schedule) cell, keyed (method, r),
-    LMC first; every segment has its own minibatch stream."""
+    LMC first; each chain draws minibatch indices from one stream of its own."""
     burn_n = 0 if burn_base is None else burn_base.n
 
     def segment(n, drive, role, r, start=1):
@@ -193,9 +156,8 @@ def _cell_chains(spec, d, schedule, burn_base, main_base, n_run, sched_idx, m):
         rng = BaselinePrng(spec.seed, _stream(sched_idx, _ROLE_SHIFT, m, r))
         burn = () if burn_base is None else (
             segment(burn_n, burn_base.reshifted(rng), _ROLE_MINIBATCH_LQMC, r),)
-        role = _ROLE_MINIBATCH_LQMC_RUN if burn else _ROLE_MINIBATCH_LQMC
-        chains["lqmc", r] = burn + (segment(n_run, main_base.reshifted(rng), role, r,
-                                            start=1 + burn_n),)
+        chains["lqmc", r] = burn + (segment(n_run, main_base.reshifted(rng),
+                                            _ROLE_MINIBATCH_LQMC, r, start=1 + burn_n),)
     return chains
 
 
@@ -337,17 +299,6 @@ def run_comparison(
 # ---------------------------------------------------------------------------
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def is_primitive_root(a: int, p: int) -> bool:
     """Whether a generates the multiplicative group mod prime p."""
     if a % p == 0:
@@ -370,7 +321,7 @@ def lcg_demo(modulus: int, multiplier: int, seed: int = 1) -> PointSet:
     root mod p, so the state sequence visits every residue in 1..p-1.
     """
     p, a = modulus, multiplier
-    if not _is_prime(p):
+    if factorize(p) != [p]:
         raise ConfigurationError(f"modulus {p} is not prime")
     if not is_primitive_root(a, p):
         raise ConfigurationError(

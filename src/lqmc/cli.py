@@ -14,13 +14,12 @@ import numpy as np
 import yaml
 
 from . import bench, models
-from .cud_core import (PointSet, TABLE_RANGE, builtin_config, generate_cud,
-                       lfsr_period, star_discrepancy_1d, star_discrepancy_2d,
-                       table_listing)
+from .cud_core import (PointSet, builtin_config, generate_cud,
+                       star_discrepancy_1d, star_discrepancy_2d, table_listing)
 from .drive import build_drive_matrix, coprime_width
 from .errors import (ConfigurationError, DataError, DivergenceError,
                      DomainError, LqmcError, SizeError, SpecError)
-from .experiment import load_spec
+from .experiment import ExperimentSpec, ScheduleSpec, load_spec
 from .prng import BaselinePrng
 from .samplers import PseudoRandomDrive, contraction_info, coupling_diagnostic
 
@@ -105,15 +104,9 @@ def _cmd_gen(args) -> int:
         raise ConfigurationError("gen requires -m (or --table)")
     config = builtin_config(args.m, offset=args.offset)
     n = config.period
-    seq = generate_cud(config)
-    if args.m <= 20:
-        period = lfsr_period(config)
-        verified = "verified by enumeration"
-    else:
-        period = n
-        verified = "implied by primitivity"
+    seq = generate_cud(config)  # refuses a polynomial that is not primitive
     print(f"m={args.m} poly=0x{config.poly.mask:x} offset={config.offset} "
-          f"period={period} ({verified}) gcd(offset, period)=1", file=sys.stderr)
+          f"period={n} (implied by primitivity) gcd(offset, period)=1", file=sys.stderr)
     if args.matrix is not None:
         if args.shift_seed is not None:
             matrix = build_drive_matrix(seq, args.matrix,
@@ -226,21 +219,13 @@ def _cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _diagnose_potential(args):
-    if args.model == "quadratic":
-        return models.standard_gaussian_potential(args.dim)
-    if args.model == "double_well":
-        return models.double_well_potential()
-    data = models.synthesize_data(args.model, args.n_obs, args.dim, args.data_seed)
-    if args.model == "linear":
-        return models.linear_regression_potential(data)
-    if args.model == "logistic":
-        return models.logistic_potential(data)
-    return models.crossed_effects_potential(data.y)
-
-
 def _cmd_diagnose(args) -> int:
-    potential = _diagnose_potential(args)
+    if args.model == "quadratic":
+        potential = models.standard_gaussian_potential(args.dim)
+    else:
+        potential, _ = bench.build_model(ExperimentSpec(
+            model=args.model, n_obs=args.n_obs, dim=args.dim, data_seed=args.data_seed,
+            m_values=(args.m,), schedules=(ScheduleSpec(kind="constant", h=args.h),)))
     d = potential.dim
     theta = np.zeros(d)
     theta_prime = np.ones(d)

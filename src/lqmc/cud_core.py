@@ -305,23 +305,21 @@ def lfsr_bitstream(config: LfsrConfig, count: int) -> np.ndarray:
     return out
 
 
-def lfsr_period(config: LfsrConfig, cap: int | None = None) -> int:
+def lfsr_period(config: LfsrConfig) -> int:
     """Exact period of the state sequence by brute-force stepping.
 
-    Steps until the initial state recurs; intended for m small enough that
-    2**m steps are affordable.
+    Steps until the initial state recurs, which takes at most 2**m - 1
+    steps: with a_0 = 1 the step is invertible, so every nonzero state lies
+    on a cycle.  A test oracle for the period that primitivity implies.
     """
     m = config.m
     amask = sum(c << j for j, c in enumerate(config.poly.coeffs))
     start = sum(b << j for j, b in enumerate(config.seed))
-    limit = cap if cap is not None else (1 << m) + 1
-    state = start
-    top = m - 1
-    for i in range(1, limit + 1):
+    state, period, top = start, 0, m - 1
+    while period == 0 or state != start:
         state = (state >> 1) | (((state & amask).bit_count() & 1) << top)
-        if state == start:
-            return i
-    raise ConfigurationError(f"no period found within {limit} steps")
+        period += 1
+    return period
 
 
 @dataclass(frozen=True)

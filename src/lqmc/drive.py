@@ -46,11 +46,6 @@ def quantize_shift(shift: np.ndarray) -> np.ndarray:
     return np.floor(np.asarray(shift, dtype=np.float64) * _SHIFT_SCALE) / _SHIFT_SCALE
 
 
-def inverse_shift(shift: np.ndarray) -> np.ndarray:
-    """The grid shift that exactly undoes ``shift`` under rotate."""
-    return quantize_shift((1.0 - quantize_shift(shift)) % 1.0)
-
-
 def rotate(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Componentwise (values + shift) mod 1."""
     return (values + shift) % 1.0

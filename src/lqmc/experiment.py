@@ -8,7 +8,8 @@ before any work starts, and parse -> serialize -> parse is the identity.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import yaml
@@ -22,6 +23,8 @@ MODELS = ("logistic", "linear", "crossed", "double_well")
 TEST_FUNCTIONS = ("coordinate", "square", "indicator")
 # Replicate streams pack the replicate index into 20 bits (bench._stream).
 MAX_REPLICATES = 1 << 20
+# Below this the linear model's X'X / noise_var can overflow float64.
+MIN_NOISE_VAR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,35 @@ DEFAULT_TRUTH = {
     "crossed": TruthSpec(h=1e-5, n_steps=1 << 22, chains=10, seed=101),
 }
 
+# The keys each section of a spec file may hold; model and schedule keys
+# depend on the kind.  ``from_dict`` refuses any other key, because the
+# run would ignore it.
+_DATA_MODEL_KEYS = ("kind", "n_obs", "dim", "data_seed")
+SECTION_KEYS = {
+    "spec": ("model", "drive", "schedules", "run", "truth", "output"),
+    "model": {"logistic": _DATA_MODEL_KEYS, "crossed": _DATA_MODEL_KEYS,
+              "linear": _DATA_MODEL_KEYS + ("noise_var",), "double_well": ("kind",)},
+    "drive": ("m_values", "offset", "poly_mask"),
+    "schedules": {"constant": ("kind", "h", "label"),
+                  "polynomial": ("kind", "c0", "c1", "exponent", "label"),
+                  "solved": ("kind", "h_start", "h_end", "exponent", "label")},
+    "run": ("replicates", "seed", "test_functions", "minibatch", "burn_in_m", "n_override"),
+    "truth": ("h", "n_steps", "chains", "seed"),
+}
+
+
+def _section(where: str, section, allowed) -> dict:
+    """``section``, once it is a mapping holding only ``allowed`` keys."""
+    if not isinstance(section, dict):
+        raise SpecError(f"{where}: expected a mapping, got {section!r}")
+    if isinstance(allowed, dict):  # keyed by kind; the dataclass refuses an unknown kind
+        where = f"{where} (kind {section.get('kind')})"
+        allowed = allowed.get(section.get("kind"), tuple(section))
+    for key in section:
+        if key not in allowed:
+            raise SpecError(f"{where}: unknown key {key!r} (allowed: {', '.join(allowed)})")
+    return section
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -131,6 +163,8 @@ class ExperimentSpec:
             raise SpecError(f"burn_in_m={self.burn_in_m} outside the table range")
         if not self.schedules:
             raise SpecError("at least one schedule is required")
+        if self.truth is not None and self.model not in DEFAULT_TRUTH:
+            raise SpecError(f"truth: a {self.model} model has no reference-chain truth")
         if self.replicates < 2:
             raise SpecError("need >= 2 replicates for standard errors")
         if self.replicates >= MAX_REPLICATES:
@@ -140,6 +174,9 @@ class ExperimentSpec:
                 raise SpecError(f"unknown test function {f!r}")
         if self.model != "double_well" and (self.n_obs < 1 or self.dim < 1):
             raise SpecError("n_obs and dim must be positive")
+        if self.model == "linear" and not MIN_NOISE_VAR <= self.noise_var < math.inf:
+            raise SpecError(f"noise_var must be finite and >= {MIN_NOISE_VAR:g}, "
+                            f"got {self.noise_var!r}")
         if self.minibatch is not None:
             if self.model not in ("logistic", "linear"):
                 raise SpecError("minibatch gradients are only wired for data models")
@@ -179,10 +216,13 @@ class ExperimentSpec:
 
     def to_dict(self) -> dict[str, Any]:
         d: dict[str, Any] = {
-            "model": {"kind": self.model, "data_seed": self.data_seed},
+            "model": {"kind": self.model, **{k: getattr(self, k)
+                                             for k in SECTION_KEYS["model"][self.model]
+                                             if k != "kind"}},
             "drive": {"m_values": list(self.m_values)},
             "schedules": [
-                {k: v for k, v in asdict(s).items() if v is not None}
+                {k: getattr(s, k) for k in SECTION_KEYS["schedules"][s.kind]
+                 if getattr(s, k) is not None}
                 for s in self.schedules
             ],
             "run": {
@@ -191,11 +231,6 @@ class ExperimentSpec:
                 "test_functions": list(self.test_functions),
             },
         }
-        if self.model != "double_well":
-            d["model"]["n_obs"] = self.n_obs
-            d["model"]["dim"] = self.dim
-        if self.model == "linear":
-            d["model"]["noise_var"] = self.noise_var
         if self.offset is not None:
             d["drive"]["offset"] = self.offset
         if self.poly_mask is not None:
@@ -214,31 +249,29 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ExperimentSpec":
+        """Parse a spec mapping; a key the run would not use is a SpecError.
+
+        Only the keys present are passed on, so every default lives in the
+        dataclass fields.
+        """
         try:
-            model = d["model"]
-            drive = d["drive"]
-            run = d.get("run", {})
-            schedules = tuple(ScheduleSpec(**s) for s in d["schedules"])
-            truth = TruthSpec(**d["truth"]) if "truth" in d else None
-            return cls(
-                model=model["kind"],
-                m_values=tuple(drive["m_values"]),
-                schedules=schedules,
-                n_obs=model.get("n_obs", 20),
-                dim=model.get("dim", 10),
-                noise_var=model.get("noise_var", 0.25),
-                data_seed=model.get("data_seed", 1),
-                seed=run.get("seed", 0),
-                replicates=run.get("replicates", 20),
-                test_functions=tuple(run.get("test_functions", TEST_FUNCTIONS)),
-                minibatch=run.get("minibatch"),
-                offset=drive.get("offset"),
-                poly_mask=drive.get("poly_mask"),
-                burn_in_m=run.get("burn_in_m"),
-                n_override=run.get("n_override"),
-                truth=truth,
-                output=d.get("output"),
-            )
+            _section("top level", d, SECTION_KEYS["spec"])
+            fields: dict[str, Any] = {}
+            for name, section in (("model", d["model"]), ("drive", d["drive"]),
+                                  ("run", d.get("run", {}))):
+                fields.update(_section(name, section, SECTION_KEYS[name]))
+            fields["model"] = fields.pop("kind")
+            fields["m_values"] = tuple(fields["m_values"])
+            if "test_functions" in fields:
+                fields["test_functions"] = tuple(fields["test_functions"])
+            fields["schedules"] = tuple(
+                ScheduleSpec(**_section(f"schedules[{i}]", s, SECTION_KEYS["schedules"]))
+                for i, s in enumerate(d["schedules"]))
+            if "truth" in d:
+                fields["truth"] = TruthSpec(**_section("truth", d["truth"], SECTION_KEYS["truth"]))
+            if "output" in d:
+                fields["output"] = d["output"]
+            return cls(**fields)
         except SpecError:
             raise
         except (KeyError, TypeError) as exc:

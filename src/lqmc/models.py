@@ -10,10 +10,9 @@ small-step reference chain averaged over independent seeds.
 
 from __future__ import annotations
 
-import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -126,32 +125,6 @@ class SyntheticDataset:
     beta: np.ndarray
     seed: int
     noise_var: float = 0.25
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            n, d = (self.y.shape[0], self.X.shape[1]) if self.X is not None else self.y.shape
-            fh.write(f"# lqmc-dataset kind={self.kind} N={n} d={d} "
-                     f"seed={self.seed} noise_var={self.noise_var:.17g}\n")
-            fh.write(",".join("%.17g" % b for b in self.beta) + "\n")
-            rows = np.column_stack([self.y, self.X]) if self.X is not None else self.y
-            np.savetxt(fh, np.atleast_2d(rows), fmt="%.17g", delimiter=",")
-
-
-def load_dataset(path) -> SyntheticDataset:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# lqmc-dataset "):
-            raise DataError(f"{path}: not a dataset file")
-        meta = dict(kv.split("=", 1) for kv in header.split()[2:])
-        beta = np.array([float(v) for v in fh.readline().split(",")])
-        body = np.loadtxt(io.StringIO(fh.read()), delimiter=",", ndmin=2)
-    kind = meta["kind"]
-    if kind == "crossed":
-        X, y = None, body
-    else:
-        X, y = body[:, 1:], body[:, 0]
-    return SyntheticDataset(kind=kind, X=X, y=y, beta=beta,
-                            seed=int(meta["seed"]), noise_var=float(meta["noise_var"]))
 
 
 def synthesize_data(kind: str, n_obs: int, dim: int, seed: int,

@@ -45,13 +45,13 @@ class BaselinePrng:
     everywhere; there is no global state.
     """
 
-    def __init__(self, seed: int, stream: int = 0):
+    def __init__(self, seed: int, stream: int = 0, counter: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
         k = _mix64(np.uint64((self.seed ^ _SEED_SALT) & 0xFFFFFFFFFFFFFFFF))
         k = _mix64(k ^ np.uint64((self.stream * _STREAM_MULT) & 0xFFFFFFFFFFFFFFFF))
         self._key = k
-        self._counter = 0
+        self._counter = int(counter)  # outputs of the stream already consumed
 
     def uint64(self, count: int) -> np.ndarray:
         """Next ``count`` raw 64-bit words of the stream."""

@@ -85,7 +85,11 @@ def solve_polynomial_schedule(
         raise ConfigurationError("exponent must be negative for a decreasing schedule")
     if n < 2:
         raise ConfigurationError("need n >= 2 to pin both endpoints")
-    ratio = (h_start / h_end) ** (-1.0 / exponent)  # (c1+n)/(c1+1)
+    try:
+        ratio = (h_start / h_end) ** (-1.0 / exponent)  # (c1+n)/(c1+1)
+    except OverflowError:
+        raise ConfigurationError(f"exponent {exponent:g} is too close to 0 for "
+                                 f"h_start/h_end = {h_start / h_end:g}") from None
     c1 = (n - ratio) / (ratio - 1.0)
     c0 = h_start * (c1 + 1.0) ** (-exponent)
     return PolynomialSchedule(c0=c0, c1=c1, exponent=exponent)
@@ -210,8 +214,10 @@ def run_chain(potential, config, observe=None) -> ChainRun | None:
     is made, and the call returns None.  Gradients are exact (``grad`` for
     a lone chain, ``grad_batch`` for several) or one minibatch ``sgrad``
     per row.  Each segment reads xi from its own drive, in blocks of at
-    most ``_BLOCK`` steps, and minibatch indices from its own stream.  A
-    row leaving ||theta|| <= 1e8 raises DivergenceError naming it.
+    most ``_BLOCK`` steps, and minibatch indices from its stream starting
+    at the draws of iteration ``schedule_start``, so a segment that
+    continues a chain on the same stream carries that stream on.  A row
+    leaving ||theta|| <= 1e8 raises DivergenceError naming it.
     """
     batch = config if isinstance(config, ChainBatch) else ChainBatch(((config,),), ("chain",))
     blocks: list = []
@@ -254,7 +260,8 @@ def run_chain(potential, config, observe=None) -> ChainRun | None:
             while left[i] == 0:
                 cfg = segs.pop(0)
                 sources[i] = _xi_source(cfg.drive, cfg.n_steps, d)
-                rngs[i] = BaselinePrng(cfg.minibatch_seed, cfg.minibatch_stream)
+                rngs[i] = BaselinePrng(cfg.minibatch_seed, cfg.minibatch_stream,
+                                       counter=(cfg.schedule_start - 1) * (size or 0))
                 left[i] = cfg.n_steps
         b = min(_BLOCK, *left)
         xi = np.stack([take(b) for take in sources], axis=1)
@@ -281,8 +288,8 @@ def continue_chain(run: ChainRun, next_drive: Drive, extra_n: int) -> ChainRun:
 
     Supports the burn-in idiom: a small-period run first, then a longer
     drive appended.  The step-size index keeps counting, so decreasing
-    schedules keep decreasing across segments.  ``extra_n = 0`` returns the
-    run unchanged.
+    schedules keep decreasing across segments, and minibatch indices carry
+    on along the run's stream.  ``extra_n = 0`` returns the run unchanged.
     """
     if extra_n == 0:
         return run
@@ -293,7 +300,6 @@ def continue_chain(run: ChainRun, next_drive: Drive, extra_n: int) -> ChainRun:
         n_steps=extra_n,
         drive=next_drive,
         schedule_start=cfg.schedule_start + cfg.n_steps,
-        minibatch_stream=cfg.minibatch_stream + 1,
     )
     tail = run_chain(run.potential, cont)
     return ChainRun(
@@ -346,10 +352,6 @@ class ContractionInfo:
     rho: float
     ell: int
     gcd_d_ell_n: int
-
-    @property
-    def coprime(self) -> bool:
-        return self.gcd_d_ell_n == 1
 
 
 def contraction_info(L: float, M: float, h: float, d: int, n: int) -> ContractionInfo:

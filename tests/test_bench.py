@@ -1,4 +1,4 @@
-"""Harness mechanics: estimators, the LCG demo, and report plumbing."""
+"""Harness mechanics: the LCG demo, the comparison and report plumbing."""
 
 from dataclasses import astuple
 
@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 
 from lqmc import bench, samplers
-from lqmc.bench import (MseReport, estimate, iid_pointset,
-                        is_primitive_root, lcg_demo, run_comparison,
-                        smallest_primitive_root)
-from lqmc.errors import ConfigurationError, DomainError
+from lqmc.bench import (MseReport, iid_pointset, is_primitive_root, lcg_demo,
+                        run_comparison, smallest_primitive_root)
+from lqmc.errors import ConfigurationError
 from lqmc.experiment import ExperimentSpec, ScheduleSpec
 from lqmc.models import GroundTruth, standard_gaussian_potential
 from lqmc.prng import BaselinePrng
-from lqmc.samplers import (ChainConfig, ConstantSchedule, PseudoRandomDrive,
-                           run_chain)
+from lqmc.samplers import ChainConfig, ConstantSchedule, run_chain
 
 
 def _flat_truth(d):
@@ -32,38 +30,6 @@ def _tiny_spec(**overrides):
 
 
 class TestEstimate:
-    def _run(self, traj):
-        pot = standard_gaussian_potential(traj.shape[1])
-        cfg = ChainConfig(np.zeros(traj.shape[1]), traj.shape[0],
-                          ConstantSchedule(0.1), PseudoRandomDrive(0))
-        run = run_chain(pot, cfg)
-        object.__setattr__(run, "trajectory", traj)
-        return run
-
-    def test_constant_trajectory(self):
-        run = self._run(np.tile([2.0, -1.0], (6, 1)))
-        assert estimate(run, bench.TestFunction("coordinate", 1)) == 2.0
-        assert estimate(run, bench.TestFunction("square", 2)) == 1.0
-
-    def test_indicator_split(self):
-        run = self._run(np.array([[-1.0], [1.0]]))
-        assert estimate(run, bench.TestFunction("indicator", 1)) == 0.5
-
-    def test_discard_window(self):
-        run = self._run(np.array([[10.0], [1.0], [3.0]]))
-        assert estimate(run, bench.TestFunction("coordinate", 1), discard=1) == 2.0
-        with pytest.raises(DomainError):
-            estimate(run, bench.TestFunction("coordinate", 1), discard=3)
-
-    def test_index_bounds(self):
-        run = self._run(np.zeros((4, 2)))
-        with pytest.raises(DomainError):
-            estimate(run, bench.TestFunction("coordinate", 3))
-        with pytest.raises(DomainError):
-            bench.TestFunction("coordinate", 0)
-        with pytest.raises(DomainError):
-            bench.TestFunction("cube", 1)
-
     def test_long_quasi_random_second_moment(self):
         # standard normal target, one full m=14 drive: E[x^2] recovered.
         # Second-moment accuracy hinges on lagged-pair equidistribution,
@@ -79,7 +45,7 @@ class TestEstimate:
             standard_gaussian_potential(1),
             ChainConfig(np.zeros(1), seq.n, ConstantSchedule(0.05), matrix),
         )
-        est = estimate(run, bench.TestFunction("square", 1))
+        est = float((run.trajectory[:, 0] ** 2).mean())
         assert abs(est - 1.0) < 0.05
 
 
@@ -138,13 +104,13 @@ class TestRunComparison:
             assert y.stderr == pytest.approx(x.stderr, rel=1e-12, abs=0)
 
     def test_minibatch_streams_distinct_after_burn_in(self, monkeypatch):
-        # One stream per chain segment: R LMC chains, R LQMC burn-ins and R
-        # LQMC main segments, none shared between replicates.
-        streams = set()
+        # Each chain reads one minibatch stream, the main segment carrying
+        # on after the burn-in; no uniform of any stream is drawn twice.
+        draws = []
         original = BaselinePrng.index_subset
 
         def recording(self, n, k):
-            streams.add((self.seed, self.stream))
+            draws.extend((self.seed, self.stream, self._counter + i) for i in range(k))
             return original(self, n, k)
 
         monkeypatch.setattr(BaselinePrng, "index_subset", recording)
@@ -153,7 +119,9 @@ class TestRunComparison:
             minibatch=4, burn_in_m=3, schedules=(ScheduleSpec(kind="constant", h=0.01),),
         )
         run_comparison(spec, truth=_flat_truth(2))
-        assert len(streams) == 3 * spec.replicates
+        assert len(draws) == 2 * spec.replicates * (7 + 15) * spec.minibatch
+        assert len(set(draws)) == len(draws)
+        assert len({d[:2] for d in draws}) == 2 * spec.replicates
 
     @pytest.mark.parametrize("spec", [
         _tiny_spec(m_values=(4, 5)),

@@ -3,10 +3,13 @@
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lqmc.errors import SpecError
-from lqmc.experiment import (DEFAULT_TRUTH, ExperimentSpec, ScheduleSpec,
-                             TruthSpec, load_spec)
+from lqmc.bench import run_comparison
+from lqmc.errors import DivergenceError, SpecError
+from lqmc.experiment import (DEFAULT_TRUTH, MODELS, TEST_FUNCTIONS,
+                             ExperimentSpec, ScheduleSpec, TruthSpec, load_spec)
 
 SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
@@ -104,6 +107,18 @@ class TestExperimentSpecValidation:
             self._ok(schedules=solved, n_override=1)
         assert self._ok(schedules=solved, n_override=1, burn_in_m=3).n_override == 1
 
+    def test_numeric_edges_refused_at_load(self):
+        # Both used to pass the loader and fail later (found by
+        # TestAcceptedSpecsRun): an OverflowError solving the schedule, and
+        # a ConfigurationError or LinAlgError building the linear model.
+        near_zero = ScheduleSpec(kind="solved", h_start=0.03125, h_end=1e-5,
+                                 exponent=-0.0078125)
+        with pytest.raises(SpecError, match="too close to 0"):
+            self._ok(schedules=(near_zero,))
+        for noise_var in (0.0, -1.0, 1.1e-308, float("inf")):
+            with pytest.raises(SpecError, match="noise_var"):
+                self._ok(noise_var=noise_var)
+
     def test_unknown_test_function(self):
         with pytest.raises(SpecError):
             self._ok(test_functions=("cube",))
@@ -146,3 +161,88 @@ class TestSerialization:
         assert DEFAULT_TRUTH["logistic"].h == 1e-4
         assert DEFAULT_TRUTH["crossed"].h == 1e-5
         assert DEFAULT_TRUTH["logistic"].n_steps == 1 << 22
+
+
+class TestUnknownKeys:
+    BASE = ("model: {kind: logistic, n_obs: 5, dim: 2}\n"
+            "drive: {m_values: [4]}\n"
+            "schedules: [{kind: constant, h: 0.01}]\n"
+            "truth: {h: 0.001, n_steps: 64, chains: 2}\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        ("run: {replicate: 3}\n", "run: unknown key 'replicate'"),
+        ("drive: {m_values: [4], ofset: 3}\n", "drive: unknown key 'ofset'"),
+        ("model: {kind: logistic, dta_seed: 4}\n", "model .kind logistic.: unknown key 'dta_seed'"),
+        ("outptu: x.csv\n", "top level: unknown key 'outptu'"),
+        ("model: {kind: logistic, noise_var: 0.5}\n", "unknown key 'noise_var'"),
+        ("model: {kind: double_well, n_obs: 5}\n", "kind double_well.: unknown key 'n_obs'"),
+        ("model: {kind: double_well, dim: 2}\n", "kind double_well.: unknown key 'dim'"),
+        ("model: {kind: linear}\n", "a linear model has no reference-chain truth"),
+        ("schedules: [{kind: constant, h: 0.01, c0: 1.0}]\n", "unknown key 'c0'"),
+        ("run: 3\n", "run: expected a mapping"),
+    ], ids=["run-replicate", "drive-ofset", "model-dta_seed", "top-outptu",
+            "logistic-noise_var", "double_well-n_obs", "double_well-dim", "linear-truth",
+            "constant-c0", "run-not-a-mapping"])
+    def test_refused_at_load(self, edit, message):
+        # A later YAML key replaces the earlier one of the same name.
+        with pytest.raises(SpecError, match=message):
+            ExperimentSpec.from_yaml(self.BASE + edit)
+
+    def test_defaults_come_from_the_dataclass(self):
+        spec = ExperimentSpec.from_yaml(self.BASE)
+        assert (spec.replicates, spec.seed, spec.data_seed) == (20, 0, 1)
+        assert spec.test_functions == TEST_FUNCTIONS
+
+
+@st.composite
+def _spec_fields(draw):
+    """ExperimentSpec fields at tiny scale, many of them out of range."""
+    model = draw(st.sampled_from(MODELS))
+    optional = lambda strategy: draw(st.none() | strategy)  # noqa: E731
+    m_values = tuple(draw(st.lists(st.integers(3, 5), min_size=1, max_size=2, unique=True)))
+    kind = draw(st.sampled_from(("constant", "polynomial", "solved")))
+    step = st.floats(1e-4, 0.05)
+    schedule = {
+        "constant": lambda: dict(h=draw(step)),
+        "polynomial": lambda: dict(c0=draw(step), c1=draw(st.floats(-0.9, 5.0)),
+                                   exponent=draw(st.floats(-1.0, 0.3))),
+        "solved": lambda: dict(h_start=draw(step), h_end=draw(st.floats(1e-5, 1e-3)),
+                               exponent=draw(st.floats(-1.0, 0.3))),
+    }[kind]()
+    fields = dict(
+        model=model, schedules=(dict(kind=kind, **schedule),), replicates=2,
+        m_values=m_values, seed=draw(st.integers(0, 3)),
+        test_functions=tuple(draw(st.lists(st.sampled_from(TEST_FUNCTIONS), min_size=1,
+                                           max_size=3, unique=True))),
+        offset=optional(st.integers(1, 12)), burn_in_m=optional(st.integers(3, 5)),
+        poly_mask=optional(st.sampled_from(m_values).flatmap(
+            lambda m: st.integers(1 << m, (2 << m) - 1))),
+        n_override=optional(st.integers(1, 7) | st.integers(1, 31)),
+    )
+    if model != "double_well":  # only the fields the model uses, as a spec file has
+        fields.update(n_obs=draw(st.integers(1, 6)), dim=draw(st.integers(1, 3)),
+                      data_seed=draw(st.integers(0, 3)))
+    if model in ("logistic", "linear"):
+        fields["minibatch"] = optional(st.integers(1, 6))
+    if model == "linear":
+        fields["noise_var"] = draw(st.floats(0.01, 1.0) | st.floats(-0.5, 1.0))
+    if model in DEFAULT_TRUTH:
+        fields["truth"] = TruthSpec(h=1e-3, n_steps=64, chains=2, seed=draw(st.integers(0, 3)))
+    return fields
+
+
+class TestAcceptedSpecsRun:
+    @settings(max_examples=200, deadline=None)
+    @given(_spec_fields())
+    def test_every_accepted_spec_runs(self, fields):
+        # A spec the loader accepts must not fail on its configuration later.
+        try:
+            schedules = tuple(ScheduleSpec(**s) for s in fields.pop("schedules"))
+            spec = ExperimentSpec(schedules=schedules, **fields)
+        except SpecError:
+            return
+        assert ExperimentSpec.from_yaml(spec.to_yaml()) == spec
+        try:
+            run_comparison(spec)
+        except DivergenceError:
+            pass

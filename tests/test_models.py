@@ -8,11 +8,10 @@ from lqmc.models import (GroundTruth, Potential, SyntheticDataset,
                          closed_form_posterior, covariance_matrix,
                          crossed_effects_potential, double_well_potential,
                          double_well_truth, finite_difference_gradient,
-                         linear_regression_potential, load_dataset,
-                         load_ground_truth, logistic_potential,
-                         max_gradient_error, reference_ground_truth,
-                         save_ground_truth, standard_gaussian_potential,
-                         synthesize_data)
+                         linear_regression_potential, load_ground_truth,
+                         logistic_potential, max_gradient_error,
+                         reference_ground_truth, save_ground_truth,
+                         standard_gaussian_potential, synthesize_data)
 from lqmc.models import _dw_moment_hermite, _dw_moment_quad
 
 
@@ -49,21 +48,6 @@ class TestSynthesizeData:
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
             synthesize_data("poisson", 5, 2, seed=0)
-
-    def test_csv_round_trip(self, tmp_path):
-        for kind, shape in (("linear", None), ("logistic", None), ("crossed", None)):
-            data = synthesize_data(kind, 6, 4, seed=3)
-            path = tmp_path / f"{kind}.csv"
-            data.save(path)
-            back = load_dataset(path)
-            assert back.kind == data.kind
-            assert back.seed == data.seed
-            assert np.array_equal(back.y, data.y)
-            assert np.array_equal(back.beta, data.beta)
-            if data.X is None:
-                assert back.X is None
-            else:
-                assert np.array_equal(back.X, data.X)
 
 
 class TestLogisticPotential:

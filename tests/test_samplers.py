@@ -1,5 +1,7 @@
 """Chain mechanics: updates, schedules, drives, continuation, coupling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,6 +198,19 @@ class TestContinueChain:
             second_bias.append(abs(combined.trajectory[run.n :].mean()))
         assert np.mean(second_bias) < np.mean(first_bias)
 
+    def test_minibatch_continuation_matches_one_run(self):
+        # A continuation carries the minibatch stream on, so splitting a
+        # run in two over the same xi changes nothing.
+        pot = logistic_potential(synthesize_data("logistic", 12, 2, seed=4))
+        xi = clamped_normal(BaselinePrng(3).uniform(2 * 50)).reshape(50, 2)
+        cfg = ChainConfig(np.zeros(2), 50, PolynomialSchedule(0.05, 3.0),
+                          GaussianDrive(xi), minibatch=4, minibatch_seed=7,
+                          minibatch_stream=5)
+        whole = run_chain(pot, cfg)
+        head = run_chain(pot, replace(cfg, n_steps=20))
+        split = continue_chain(head, GaussianDrive(xi[20:]), 30)
+        assert np.array_equal(split.trajectory, whole.trajectory)
+
     def test_dimension_mismatch(self):
         run = self._dw_run()
         seq = generate_cud(builtin_config(11))
@@ -243,7 +258,7 @@ class TestContractionInfo:
         a = contraction_info(1.0, 1.0, 0.01, 3, 8191)
         b = contraction_info(1.0, 1.0, 0.001, 3, 8191)
         assert b.ell > a.ell >= 1
-        assert a.coprime
+        assert a.gcd_d_ell_n == 1
 
     def test_domain(self):
         with pytest.raises(DomainError):
