@@ -20,7 +20,7 @@ import numpy as np
 
 from .cud_core import (DEFAULT_OFFSET, Gf2Poly, LfsrConfig, PointSet,
                        builtin_config, factorize, generate_cud)
-from .drive import DriveMatrix, build_drive_matrix, coprime_width
+from .drive import build_drive_matrix, coprime_width
 from .errors import ConfigurationError, DomainError
 from .experiment import DEFAULT_TRUTH, TEST_FUNCTIONS, ExperimentSpec
 from .models import (GroundTruth, closed_form_posterior,
@@ -132,14 +132,10 @@ def ground_truth_for(spec: ExperimentSpec, potential) -> GroundTruth:
 # ---------------------------------------------------------------------------
 
 
-def _unshifted(seq, d: int) -> DriveMatrix:
-    return build_drive_matrix(seq, d, shift=np.zeros(coprime_width(seq.n, d)))
-
-
-def _cell_chains(spec, d, schedule, burn_base, main_base, n_run, sched_idx, m):
+def _cell_chains(spec, d, schedule, burn_seq, main_seq, n_run, sched_idx, m):
     """Segments of the chains of one (m, schedule) cell, keyed (method, r),
     LMC first; each chain draws minibatch indices from one stream of its own."""
-    burn_n = 0 if burn_base is None else burn_base.n
+    burn_n = 0 if burn_seq is None else burn_seq.n
 
     def segment(n, drive, role, r, start=1):
         return ChainConfig(
@@ -154,9 +150,9 @@ def _cell_chains(spec, d, schedule, burn_base, main_base, n_run, sched_idx, m):
               for r in reps}
     for r in reps:
         rng = BaselinePrng(spec.seed, _stream(sched_idx, _ROLE_SHIFT, m, r))
-        burn = () if burn_base is None else (
-            segment(burn_n, burn_base.reshifted(rng), _ROLE_MINIBATCH_LQMC, r),)
-        chains["lqmc", r] = burn + (segment(n_run, main_base.reshifted(rng),
+        burn = () if burn_seq is None else (segment(
+            burn_n, build_drive_matrix(burn_seq, d, rng=rng), _ROLE_MINIBATCH_LQMC, r),)
+        chains["lqmc", r] = burn + (segment(n_run, build_drive_matrix(main_seq, d, rng=rng),
                                             _ROLE_MINIBATCH_LQMC, r, start=1 + burn_n),)
     return chains
 
@@ -214,9 +210,8 @@ def run_comparison(
         else:
             configs[m] = builtin_config(m, offset=spec.offset)
 
-    burn_base = (_unshifted(generate_cud(builtin_config(spec.burn_in_m)), d)
-                 if spec.burn_in_m else None)
-    burn_n = 0 if burn_base is None else burn_base.n
+    burn_seq = generate_cud(builtin_config(spec.burn_in_m)) if spec.burn_in_m else None
+    burn_n = 0 if burn_seq is None else burn_seq.n
 
     rows: list[ReportRow] = []
     replicate_rows: list[tuple] = []
@@ -227,7 +222,7 @@ def run_comparison(
     for m in spec.m_values:
         n = (1 << m) - 1
         n_run = spec.n_override if spec.n_override is not None else n
-        main_base = _unshifted(generate_cud(configs[m]), d)
+        main_seq = generate_cud(configs[m])
         meta_drive[m] = {
             "n": n,
             "n_run": n_run,
@@ -250,7 +245,7 @@ def run_comparison(
                     "gcd_d_ell_n": info.gcd_d_ell_n,
                 }
 
-            cell = _cell_chains(spec, d, schedule, burn_base, main_base, n_run,
+            cell = _cell_chains(spec, d, schedule, burn_seq, main_seq, n_run,
                                 sched_idx, m)
             names = tuple(f"{spec.model} {method} m={m} schedule={sspec.label} replicate {r}"
                           for method, r in cell)

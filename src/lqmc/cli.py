@@ -16,7 +16,7 @@ import yaml
 from . import bench, models
 from .cud_core import (PointSet, builtin_config, generate_cud,
                        star_discrepancy_1d, star_discrepancy_2d, table_listing)
-from .drive import build_drive_matrix, coprime_width
+from .drive import build_drive_matrix
 from .errors import (ConfigurationError, DataError, DivergenceError,
                      DomainError, LqmcError, SizeError, SpecError)
 from .experiment import ExperimentSpec, ScheduleSpec, load_spec
@@ -108,19 +108,12 @@ def _cmd_gen(args) -> int:
     print(f"m={args.m} poly=0x{config.poly.mask:x} offset={config.offset} "
           f"period={n} (implied by primitivity) gcd(offset, period)=1", file=sys.stderr)
     if args.matrix is not None:
-        if args.shift_seed is not None:
-            matrix = build_drive_matrix(seq, args.matrix,
-                                        rng=BaselinePrng(args.shift_seed))
-        else:
-            # no shift: pre-shift matrix, suitable for bit-comparison
-            width = coprime_width(n, args.matrix)
-            matrix = build_drive_matrix(seq, args.matrix, shift=np.zeros(width))
+        # without --shift-seed: the pre-shift matrix, suitable for bit-comparison
+        rng = None if args.shift_seed is None else BaselinePrng(args.shift_seed)
+        matrix = build_drive_matrix(seq, args.matrix, rng=rng)
         print(f"matrix {matrix.n}x{matrix.d} (stored width {matrix.d_stored})",
               file=sys.stderr)
-        if args.output is None:
-            _emit(_rows_csv(matrix.rows), None)
-        else:
-            matrix.to_csv(args.output)
+        _emit(_rows_csv(matrix.rows()), args.output)
         return EXIT_OK
     count = n if args.count is None else args.count
     if not 1 <= count <= n:

@@ -16,8 +16,7 @@ in float64 — no accumulated rounding between a shift and its inverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -55,39 +54,37 @@ def rotate(values: np.ndarray, shift: np.ndarray) -> np.ndarray:
 class DriveMatrix:
     """n rows of uniform vectors; ``d`` usable of ``d_stored`` columns.
 
-    ``base`` holds the pre-shift arrangement; ``rows`` the rotated matrix.
-    Immutable after construction.
+    Only the period ``values`` (shared with its ``CudSequence``, not copied)
+    and the shift are stored: row k, column j is
+    ``(values[(k * d_stored + j) mod n] + shift[j]) mod 1``, read on demand.
     """
 
-    base: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
     shift: np.ndarray = field(repr=False)
     d: int
 
     @property
     def n(self) -> int:
-        return self.base.shape[0]
+        return len(self.values)
 
     @property
     def d_stored(self) -> int:
-        return self.base.shape[1]
-
-    @cached_property
-    def full_rows(self) -> np.ndarray:
-        """All stored columns after rotation, shape (n, d_stored)."""
-        return rotate(self.base, self.shift)
+        return len(self.shift)
 
     @property
-    def rows(self) -> np.ndarray:
-        """The usable uniform vectors u_1..u_n, shape (n, d)."""
-        return self.full_rows[:, : self.d]
+    def base(self) -> np.ndarray:
+        """The pre-shift arrangement, shape (n, d_stored)."""
+        return np.resize(self.values, (self.n, self.d_stored))
 
-    def reshifted(self, rng: BaselinePrng) -> "DriveMatrix":
-        """This arrangement (``base`` shared, not copied) under a fresh shift from ``rng``."""
-        return replace(self, shift=quantize_shift(rng.uniform(self.d_stored)))
-
-    def to_csv(self, path) -> None:
-        """Dump usable rows, 17 significant digits, for bit-comparison."""
-        np.savetxt(path, self.rows, fmt="%.17g", delimiter=",")
+    def rows(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Usable rows u_lo..u_{hi-1} (default: all), shape (hi - lo, d), in O(hi - lo)."""
+        hi = self.n if hi is None else hi
+        size, start = (hi - lo) * self.d_stored, lo * self.d_stored % self.n
+        run = self.values[start:start + size]  # one run of the repeated period
+        if len(run) < size:  # wraps: whole periods, then the head of the next
+            reps, rest = divmod(size - len(run), self.n)
+            run = np.concatenate([run, *[self.values] * reps, self.values[:rest]])
+        return rotate(run.reshape(-1, self.d_stored)[:, : self.d], self.shift[: self.d])
 
 
 def build_drive_matrix(
@@ -102,14 +99,14 @@ def build_drive_matrix(
         seq: full-period driving sequence (n = 2**m - 1 values).
         d: usable dimension; the stored width is ``coprime_width(n, d)``.
         shift: rotation vector in [0,1)**d_stored.  When None, drawn from
-            ``rng`` (a fresh seed-0 generator if that is also None).
+            ``rng``; with neither, the matrix is unshifted.
         rng: source for a random shift; pass per-replicate generators to
             make replicates independent and reproducible.
     """
     n = seq.n
     ds = coprime_width(n, d)
     if shift is None:
-        shift = (rng or BaselinePrng(0)).uniform(ds)
+        shift = np.zeros(ds) if rng is None else rng.uniform(ds)
     shift = quantize_shift(shift)
     if shift.shape != (ds,):
         raise ConfigurationError(
@@ -117,9 +114,7 @@ def build_drive_matrix(
         )
     if shift.min() < 0.0 or shift.max() >= 1.0:
         raise ConfigurationError("shift entries must lie in [0, 1)")
-    idx = np.arange(n * ds, dtype=np.int64) % n
-    base = seq.values[idx].reshape(n, ds)
-    return DriveMatrix(base=base, shift=shift, d=d)
+    return DriveMatrix(values=seq.values, shift=shift, d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +161,13 @@ class GaussianDrive:
         return self.xi.shape[1]
 
 
-def gaussian_rows(matrix: DriveMatrix) -> GaussianDrive:
-    """Map each uniform row through the inverse normal CDF.
+def gaussian_rows(matrix: DriveMatrix, lo: int = 0, hi: int | None = None) -> GaussianDrive:
+    """Map uniform rows lo..hi-1 (default: all) through the inverse normal CDF.
 
     Rotated uniforms can land exactly on 0, so inputs are clamped to
     [2**-53, 1 - 2**-53], bounding |xi| by about 8.2 with negligible bias.
     """
-    u = np.clip(matrix.rows, _UNIT_LO, _UNIT_HI)
+    u = np.clip(matrix.rows(lo, hi), _UNIT_LO, _UNIT_HI)
     return GaussianDrive(xi=inverse_normal_cdf(u))
 
 

@@ -77,6 +77,18 @@ class ScheduleSpec:
         return solve_polynomial_schedule(self.h_start, self.h_end, n, self.exponent)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_integers(obj, names, optional=()) -> None:
+    """Refuse a field that is not an int; ``optional`` fields may be None."""
+    for name in names + optional:
+        value = getattr(obj, name)
+        if not _is_int(value) and not (value is None and name in optional):
+            raise SpecError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TruthSpec:
     """Reference-chain parameters for models without a closed form."""
@@ -87,6 +99,7 @@ class TruthSpec:
     seed: int = 101
 
     def __post_init__(self):
+        _check_integers(self, ("n_steps", "chains", "seed"))
         if not self.h > 0 or self.n_steps < 1 or self.chains < 2:
             raise SpecError("truth spec needs h > 0, n_steps >= 1, chains >= 2")
 
@@ -149,16 +162,16 @@ class ExperimentSpec:
     output: str | None = None
 
     def __post_init__(self):
+        _check_integers(self, ("n_obs", "dim", "data_seed", "seed", "replicates"),
+                        ("minibatch", "offset", "poly_mask", "burn_in_m", "n_override"))
         if self.model not in MODELS:
             raise SpecError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if not self.m_values:
             raise SpecError("m_values must be nonempty")
         for m in self.m_values:
-            if m not in TABLE_RANGE:
-                raise SpecError(
-                    f"m={m} outside the generator table range "
-                    f"{TABLE_RANGE.start}..{TABLE_RANGE.stop - 1}"
-                )
+            if not _is_int(m) or m not in TABLE_RANGE:
+                raise SpecError(f"m_values must be integers in the generator table range "
+                                f"{TABLE_RANGE.start}..{TABLE_RANGE.stop - 1}, got {m!r}")
         if self.burn_in_m is not None and self.burn_in_m not in TABLE_RANGE:
             raise SpecError(f"burn_in_m={self.burn_in_m} outside the table range")
         if not self.schedules:
@@ -189,8 +202,8 @@ class ExperimentSpec:
                 raise SpecError("n_override exceeds a drive period")
         mask = self.poly_mask
         if mask is not None:
-            if not isinstance(mask, int) or mask <= 0:
-                raise SpecError(f"poly_mask must be a positive integer, got {mask!r}")
+            if mask <= 0:
+                raise SpecError(f"poly_mask must be positive, got {mask!r}")
             if mask.bit_length() - 1 not in self.m_values:
                 raise SpecError(
                     f"poly_mask 0x{mask:x} has degree {mask.bit_length() - 1}, "
@@ -215,32 +228,22 @@ class ExperimentSpec:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
+        def section(name):  # the section's keys that hold a value, tuples as lists
+            return {k: list(v) if isinstance(v, tuple) else v
+                    for k in SECTION_KEYS[name] if (v := getattr(self, k)) is not None}
+
         d: dict[str, Any] = {
             "model": {"kind": self.model, **{k: getattr(self, k)
                                              for k in SECTION_KEYS["model"][self.model]
                                              if k != "kind"}},
-            "drive": {"m_values": list(self.m_values)},
+            "drive": section("drive"),
             "schedules": [
                 {k: getattr(s, k) for k in SECTION_KEYS["schedules"][s.kind]
                  if getattr(s, k) is not None}
                 for s in self.schedules
             ],
-            "run": {
-                "replicates": self.replicates,
-                "seed": self.seed,
-                "test_functions": list(self.test_functions),
-            },
+            "run": section("run"),
         }
-        if self.offset is not None:
-            d["drive"]["offset"] = self.offset
-        if self.poly_mask is not None:
-            d["drive"]["poly_mask"] = self.poly_mask
-        if self.minibatch is not None:
-            d["run"]["minibatch"] = self.minibatch
-        if self.burn_in_m is not None:
-            d["run"]["burn_in_m"] = self.burn_in_m
-        if self.n_override is not None:
-            d["run"]["n_override"] = self.n_override
         if self.truth is not None:
             d["truth"] = asdict(self.truth)
         if self.output is not None:

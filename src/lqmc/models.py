@@ -208,9 +208,9 @@ def logistic_potential(data: SyntheticDataset) -> Potential:
 # ---------------------------------------------------------------------------
 
 
-def linear_regression_potential(data: SyntheticDataset, noise_var: float | None = None) -> Potential:
+def linear_regression_potential(data: SyntheticDataset) -> Potential:
     """U(b) = ||y - Xb||^2 / (2 s^2) + ||b||^2 / 2 with declared (L, M)."""
-    sigma2 = data.noise_var if noise_var is None else noise_var
+    sigma2 = data.noise_var
     if not sigma2 > 0:
         raise ConfigurationError("noise variance must be positive")
     X, y = data.X, data.y
@@ -240,13 +240,13 @@ def linear_regression_potential(data: SyntheticDataset, noise_var: float | None 
     )
 
 
-def closed_form_posterior(data: SyntheticDataset, noise_var: float | None = None) -> GroundTruth:
+def closed_form_posterior(data: SyntheticDataset) -> GroundTruth:
     """Exact Gaussian posterior moments for the linear model.
 
     mean = (X'X/s^2 + I)^{-1} X'y / s^2, cov = (X'X/s^2 + I)^{-1};
     E[b_j^2] = mean_j^2 + cov_jj and P(b_j > 0) = Phi(mean_j / sqrt(cov_jj)).
     """
-    sigma2 = data.noise_var if noise_var is None else noise_var
+    sigma2 = data.noise_var
     X, y = data.X, data.y
     d = X.shape[1]
     cov = np.linalg.inv(X.T @ X / sigma2 + np.eye(d))

@@ -131,7 +131,7 @@ def _xi_source(drive: Drive, n: int, d: int):
         lo, pos = pos, pos + b
         if isinstance(drive, GaussianDrive):
             return drive.xi[lo:pos]
-        return gaussian_rows(replace(drive, base=drive.base[lo:pos])).xi
+        return gaussian_rows(drive, lo, pos).xi
 
     return take
 

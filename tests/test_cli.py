@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from lqmc.cli import (EXIT_DIVERGENCE, EXIT_OK, EXIT_VALIDATION, main)
+from lqmc.cud_core import builtin_config, generate_cud
+from lqmc.drive import build_drive_matrix
+from lqmc.prng import BaselinePrng
 
 
 def run_cli(*argv):
@@ -43,6 +46,14 @@ class TestGen:
         rows = np.loadtxt(out, delimiter=",")
         assert rows.shape == (15, 3)
         assert "stored width 4" in capsys.readouterr().err
+        # shifted: the CSV holds the drive rows exactly, on stdout and in --output
+        argv = ("gen", "-m", "5", "--matrix", "3", "--shift-seed", "4")
+        assert run_cli("--output", str(out), *argv) == EXIT_OK
+        assert run_cli(*argv) == EXIT_OK
+        assert capsys.readouterr().out == out.read_text()
+        expected = build_drive_matrix(generate_cud(builtin_config(5)), 3,
+                                      rng=BaselinePrng(4)).rows()
+        assert np.array_equal(np.loadtxt(out, delimiter=","), expected)
 
     def test_table_listing(self, capsys):
         assert run_cli("gen", "--table") == EXIT_OK

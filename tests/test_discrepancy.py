@@ -67,7 +67,7 @@ class TestStarDiscrepancy1d:
         assert star_discrepancy_1d(PointSet(1, seq.values)) <= bound
         for stream in range(10):
             col = build_drive_matrix(seq, 1, rng=BaselinePrng(77, stream))
-            d = star_discrepancy_1d(PointSet(1, col.full_rows[:, 0]))
+            d = star_discrepancy_1d(PointSet(1, col.rows()[:, 0]))
             assert d <= bound
 
     @settings(max_examples=80, deadline=None)

@@ -36,17 +36,17 @@ class TestDriveMatrixLayout:
         seq = generate_cud(builtin_config(3, offset=1))
         m = build_drive_matrix(seq, 2, shift=np.zeros(2))
         v = seq.values
-        assert m.rows[0].tolist() == [v[0], v[1]]
-        assert m.rows[1].tolist() == [v[2], v[3]]
+        assert m.rows()[0].tolist() == [v[0], v[1]]
+        assert m.rows()[1].tolist() == [v[2], v[3]]
         # 7 values repeated twice: row 4 wraps to the start
-        assert m.rows[3].tolist() == [v[6], v[0]]
+        assert m.rows()[3].tolist() == [v[6], v[0]]
 
     def test_width_adjustment_exposes_first_d(self):
         seq = generate_cud(builtin_config(4))
         m = build_drive_matrix(seq, 3, shift=np.zeros(4))
         assert (m.d_stored, m.d) == (4, 3)
-        assert m.rows.shape == (15, 3)
-        assert m.full_rows.shape == (15, 4)
+        assert m.rows().shape == (15, 3)
+        assert m.base.shape == (15, 4)
 
     def test_columns_are_permutations_of_the_value_set(self):
         seq = generate_cud(builtin_config(8))
@@ -67,15 +67,31 @@ class TestDriveMatrixLayout:
         a = build_drive_matrix(seq, 2, rng=BaselinePrng(3, 1))
         b = build_drive_matrix(seq, 2, rng=BaselinePrng(3, 1))
         assert np.array_equal(a.shift, b.shift)
-        assert np.array_equal(a.rows, b.rows)
+        assert np.array_equal(a.rows(), b.rows())
 
-    def test_csv_round_trip(self, tmp_path):
-        seq = generate_cud(builtin_config(5))
-        m = build_drive_matrix(seq, 3, rng=BaselinePrng(0))
-        path = tmp_path / "matrix.csv"
-        m.to_csv(path)
-        back = np.loadtxt(path, delimiter=",")
-        assert np.array_equal(back, m.rows)
+    def test_values_are_the_period_itself(self):
+        seq = generate_cud(builtin_config(6))
+        assert build_drive_matrix(seq, 4, rng=BaselinePrng(2)).values is seq.values
+
+    def test_no_shift_or_rng_is_unshifted(self):
+        seq = generate_cud(builtin_config(4))
+        m = build_drive_matrix(seq, 3)
+        assert not m.shift.any()
+        assert np.array_equal(m.rows(), m.base[:, :3])
+
+    @pytest.mark.parametrize("m, d", [(3, 2), (8, 5)])
+    def test_row_ranges_read_the_period_rule(self, m, d):
+        # m=3, d=2: rows span two periods; m=8, d=5: stored width 7
+        seq = generate_cud(builtin_config(m))
+        matrix = build_drive_matrix(seq, d, rng=BaselinePrng(m, d))
+        n, ds = seq.n, matrix.d_stored
+        k, j = np.meshgrid(np.arange(n), np.arange(d), indexing="ij")
+        expected = (seq.values[(k * ds + j) % n] + matrix.shift[j]) % 1.0
+        assert np.array_equal(matrix.rows(), expected)
+        full = gaussian_rows(matrix).xi
+        for lo, hi in [(0, 1), (1, 4), (3, n), (1, n - 1), (n - 2, n), (0, n), (5, 5)]:
+            assert np.array_equal(matrix.rows(lo, hi), expected[lo:hi])
+            assert np.array_equal(gaussian_rows(matrix, lo, hi).xi, full[lo:hi])
 
 
 class TestRotation:
@@ -91,8 +107,8 @@ class TestRotation:
     def test_rotation_keeps_unit_interval(self):
         seq = generate_cud(builtin_config(10))
         m = build_drive_matrix(seq, 3, rng=BaselinePrng(11))
-        assert m.full_rows.min() >= 0.0
-        assert m.full_rows.max() < 1.0
+        assert m.rows().min() >= 0.0
+        assert m.rows().max() < 1.0
 
     def test_stratification_survives_rotation(self):
         # after any shift: at most one point per dyadic interval, except the
@@ -100,7 +116,7 @@ class TestRotation:
         seq = generate_cud(builtin_config(8))
         for stream in range(5):
             m = build_drive_matrix(seq, 1, rng=BaselinePrng(5, stream))
-            col = m.full_rows[:, 0]
+            col = m.rows()[:, 0]
             counts = np.bincount((col * 256).astype(int), minlength=256)
             assert counts.max() <= 2
             assert (counts == 2).sum() <= 1
@@ -112,7 +128,7 @@ class TestRotation:
         n = seq.n
         for stream in range(20):
             m = build_drive_matrix(seq, 1, rng=BaselinePrng(17, stream))
-            d = star_discrepancy_1d(PointSet(1, m.full_rows[:, 0]))
+            d = star_discrepancy_1d(PointSet(1, m.rows()[:, 0]))
             assert d <= 2.0 / n + 1e-12
 
 

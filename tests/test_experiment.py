@@ -194,6 +194,31 @@ class TestUnknownKeys:
         assert spec.test_functions == TEST_FUNCTIONS
 
 
+class TestIntegerFields:
+    @pytest.mark.parametrize("edit, field", [
+        ("run: {replicates: 2.5}\n", "replicates"),
+        ("run: {minibatch: 2.5}\n", "minibatch"),
+        ("run: {seed: 1.5}\n", "seed"),
+        ("run: {seed: true}\n", "seed"),
+        ("run: {burn_in_m: 4.0}\n", "burn_in_m"),
+        ("run: {n_override: 7.5}\n", "n_override"),
+        ("drive: {m_values: [4.0]}\n", "m_values"),
+        ("drive: {m_values: [4], offset: 2.0}\n", "offset"),
+        ("drive: {m_values: [4], poly_mask: 19.0}\n", "poly_mask"),
+        ("model: {kind: logistic, n_obs: 5.5, dim: 2}\n", "n_obs"),
+        ("model: {kind: logistic, n_obs: 5, dim: true}\n", "dim"),
+        ("model: {kind: logistic, n_obs: 5, dim: 2, data_seed: 0.5}\n", "data_seed"),
+        ("truth: {h: 0.001, n_steps: 64.0, chains: 2}\n", "n_steps"),
+        ("truth: {h: 0.001, n_steps: 64, chains: 2.5}\n", "chains"),
+        ("truth: {h: 0.001, n_steps: 64, chains: 2, seed: 1.5}\n", "seed"),
+    ], ids=["replicates", "minibatch", "seed-float", "seed-bool", "burn_in_m", "n_override",
+            "m_values", "offset", "poly_mask", "n_obs", "dim-bool", "data_seed",
+            "truth-n_steps", "truth-chains", "truth-seed"])
+    def test_non_integer_refused_at_load(self, edit, field):
+        with pytest.raises(SpecError, match=f"{field} must be .*integer"):
+            ExperimentSpec.from_yaml(TestUnknownKeys.BASE + edit)
+
+
 @st.composite
 def _spec_fields(draw):
     """ExperimentSpec fields at tiny scale, many of them out of range."""
@@ -228,6 +253,12 @@ def _spec_fields(draw):
         fields["noise_var"] = draw(st.floats(0.01, 1.0) | st.floats(-0.5, 1.0))
     if model in DEFAULT_TRUTH:
         fields["truth"] = TruthSpec(h=1e-3, n_steps=64, chains=2, seed=draw(st.integers(0, 3)))
+    # at most one integer field replaced by a float or a bool
+    bad = draw(st.none() | st.sampled_from(sorted(
+        k for k in ("n_obs", "dim", "data_seed", "seed", "replicates", "minibatch", "offset",
+                    "burn_in_m", "n_override") if fields.get(k) is not None)))
+    if bad is not None:
+        fields[bad] = draw(st.sampled_from((float(fields[bad]), fields[bad] + 0.5, True)))
     return fields
 
 
