@@ -8,6 +8,7 @@ codes: 0 success, 2 validation/configuration failure, 3 runtime failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -113,17 +114,27 @@ def _cmd_gen(args) -> int:
         matrix = build_drive_matrix(seq, args.matrix, rng=rng)
         print(f"matrix {matrix.n}x{matrix.d} (stored width {matrix.d_stored})",
               file=sys.stderr)
-        _emit(_rows_csv(matrix.rows()), args.output)
+        _write_csv(matrix.rows, matrix.n, matrix.d, args.output)
         return EXIT_OK
     count = n if args.count is None else args.count
     if not 1 <= count <= n:
         raise ConfigurationError(f"count must be in 1..{n}")
-    _emit("".join("%.17g\n" % v for v in seq.values[:count]), args.output)
+    _write_csv(lambda lo, hi: seq.values[lo:hi], count, 1, args.output)
     return EXIT_OK
 
 
-def _rows_csv(rows: np.ndarray) -> str:
-    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+_CSV_BLOCK = 1 << 16  # values formatted and written at a time
+
+
+def _write_csv(rows, n: int, width: int, output: str | None) -> None:
+    """Write ``rows(lo, hi)`` for 0 <= lo < hi <= n as "%.17g" CSV, block by block."""
+    block = max(1, _CSV_BLOCK // width)
+    line = ",".join(["%.17g"] * width) + "\n"
+    with (contextlib.nullcontext(sys.stdout) if output is None
+          else open(output, "w")) as fh:
+        for lo in range(0, n, block):
+            values = rows(lo, min(lo + block, n))
+            fh.write(line * len(values) % tuple(values.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,11 @@ _POLY_MASKS = {
 
 DEFAULT_OFFSET = 2
 TABLE_RANGE = range(3, 33)
+# Period budget: the largest m whose sequence is generated.  At m=26 the
+# states, the values and the decimation index of one period take about
+# 1.5 GiB; larger orders stay in the table for listing and primitivity.
+MAX_M = 26
+_LANES = 4096  # LFSR lanes advanced together by _states
 
 
 def builtin_poly(m: int) -> Gf2Poly:
@@ -286,6 +291,52 @@ def builtin_config(m: int, offset: int | None = None) -> LfsrConfig:
     return LfsrConfig(builtin_poly(m), DEFAULT_OFFSET if offset is None else offset)
 
 
+def _states(config: LfsrConfig, count: int) -> np.ndarray:
+    """Bit-reversed LFSR states r_0, ..., r_{count-1} as uint64.
+
+    r_t holds the window b_t..b_{t+m-1} with b_t as its top bit, so one
+    step is ``r' = ((r << 1) mod 2**m) | parity(r & taps)`` with bit
+    m-1-j of ``taps`` equal to a_j.  Lanes advance together for
+    ceil(count / lanes) vectorised steps; lane k starts k*steps states in,
+    reached by GF(2) jumps: x**c mod f, evaluated at the step map, advances
+    any state by c steps (Haramoto et al., INFORMS J. Comput. 2008).
+    """
+    m = config.m
+    if count > 1 << MAX_M:
+        raise SizeError(f"m={m}: {count} LFSR states exceed the budget of 2^{MAX_M}")
+    one, full = np.uint64(1), np.uint64((1 << m) - 1)
+    taps = np.uint64(sum(a << (m - 1 - j) for j, a in enumerate(config.poly.coeffs)))
+    folds = [np.uint64(1 << k) for k in reversed(range((m - 1).bit_length()))]
+
+    def step(r):
+        p = r & taps
+        for k in folds:  # shift-xor fold: bit 0 becomes the parity of m bits
+            p ^= p >> k
+        return ((r << one) & full) | (p & one)
+
+    lanes = min(_LANES, 1 << max(count - 1, 0).bit_length())
+    steps = -(-count // lanes)
+    powers = np.empty((m, m), dtype=np.uint64)  # powers[i, j]: state 2**j after i steps
+    powers[0] = one << np.arange(m, dtype=np.uint64)
+    for i in range(1, m):
+        powers[i] = step(powers[i - 1])
+    r = np.empty(lanes, dtype=np.uint64)
+    r[0] = sum(b << (m - 1 - j) for j, b in enumerate(config.seed))
+    k = 1
+    while k < lanes:  # lanes k..2k-1 are lanes 0..k-1 advanced k*steps steps
+        g = _gf2_powmod(2, k * steps, config.poly.mask, m)
+        # images[j]: state 2**j after k*steps steps, sum of powers[i] over the x^i of g
+        images = np.bitwise_xor.reduce(powers[[i for i in range(m) if g >> i & 1]])
+        bits = (r[:k, None] >> np.arange(m, dtype=np.uint64)) & one
+        r[k:2 * k] = np.bitwise_xor.reduce(bits * images, axis=1)
+        k *= 2
+    out = np.empty((lanes, steps), dtype=np.uint64)
+    for t in range(steps):
+        out[:, t] = r
+        r = step(r)
+    return out.reshape(-1)[:count]
+
+
 def lfsr_bitstream(config: LfsrConfig, count: int) -> np.ndarray:
     """First ``count`` bits b_0, b_1, ... of the shift-register recursion.
 
@@ -294,32 +345,18 @@ def lfsr_bitstream(config: LfsrConfig, count: int) -> np.ndarray:
     """
     if count < 0:
         raise DomainError("count must be nonnegative")
-    m = config.m
-    amask = sum(c << j for j, c in enumerate(config.poly.coeffs))
-    state = sum(b << j for j, b in enumerate(config.seed))
-    out = np.empty(count, dtype=np.uint8)
-    top = m - 1
-    for i in range(count):
-        out[i] = state & 1
-        state = (state >> 1) | (((state & amask).bit_count() & 1) << top)
-    return out
+    return (_states(config, count) >> np.uint64(config.m - 1)).astype(np.uint8)
 
 
 def lfsr_period(config: LfsrConfig) -> int:
-    """Exact period of the state sequence by brute-force stepping.
+    """Exact period of the state sequence: the first t >= 1 with r_t = r_0.
 
-    Steps until the initial state recurs, which takes at most 2**m - 1
-    steps: with a_0 = 1 the step is invertible, so every nonzero state lies
-    on a cycle.  A test oracle for the period that primitivity implies.
+    With a_0 = 1 the step is invertible, so every nonzero state lies on a
+    cycle of at most 2**m - 1 states and r_0 recurs among r_1..r_n.  A test
+    oracle for the period that primitivity implies.
     """
-    m = config.m
-    amask = sum(c << j for j, c in enumerate(config.poly.coeffs))
-    start = sum(b << j for j, b in enumerate(config.seed))
-    state, period, top = start, 0, m - 1
-    while period == 0 or state != start:
-        state = (state >> 1) | (((state & amask).bit_count() & 1) << top)
-        period += 1
-    return period
+    r = _states(config, config.period + 1)
+    return int(np.flatnonzero(r[1:] == r[0])[0]) + 1
 
 
 @dataclass(frozen=True)
@@ -348,21 +385,16 @@ def generate_cud(config: LfsrConfig) -> CudSequence:
 
     Requires a primitive characteristic polynomial (so the period really is
     2**m - 1); the offset condition gcd(s, 2**m - 1) = 1 is enforced by
-    ``LfsrConfig``.  Memory is O(2**m).
+    ``LfsrConfig``.  Memory is O(2**m); m above ``MAX_M`` is refused.
     """
     if not is_primitive(config.poly):
         raise ConfigurationError(
             f"polynomial {config.poly} (mask 0x{config.poly.mask:x}) is not primitive"
         )
-    m = config.m
     n = config.period
-    # One period plus wrap margin; window start positions reduce mod n.
-    bits = lfsr_bitstream(config, n + m - 1)
-    starts = (np.arange(n, dtype=np.uint64) * np.uint64(config.offset % n)) % np.uint64(n)
-    starts = starts.astype(np.int64)
-    values = np.zeros(n, dtype=np.float64)
-    for j in range(m):
-        values += bits[starts + j] * 2.0 ** -(j + 1)
+    # values[i] is the window at bit s*i, i.e. state r_{s*i mod n} over 2**m
+    values = _states(config, n) * 2.0 ** -config.m
+    values = values[np.arange(n, dtype=np.int64) * (config.offset % n) % n]
     return CudSequence(values=values, config=config)
 
 

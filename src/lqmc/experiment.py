@@ -14,7 +14,7 @@ from typing import Any
 
 import yaml
 
-from .cud_core import TABLE_RANGE, Gf2Poly, LfsrConfig, is_primitive
+from .cud_core import MAX_M, TABLE_RANGE, Gf2Poly, LfsrConfig, is_primitive
 from .errors import ConfigurationError, SpecError
 from .samplers import (ConstantSchedule, PolynomialSchedule, StepSchedule,
                        solve_polynomial_schedule)
@@ -25,6 +25,8 @@ TEST_FUNCTIONS = ("coordinate", "square", "indicator")
 MAX_REPLICATES = 1 << 20
 # Below this the linear model's X'X / noise_var can overflow float64.
 MIN_NOISE_VAR = 1e-12
+# Orders a run can generate: the generator table up to the period budget.
+M_RANGE = range(TABLE_RANGE.start, MAX_M + 1)
 
 
 @dataclass(frozen=True)
@@ -169,11 +171,12 @@ class ExperimentSpec:
         if not self.m_values:
             raise SpecError("m_values must be nonempty")
         for m in self.m_values:
-            if not _is_int(m) or m not in TABLE_RANGE:
-                raise SpecError(f"m_values must be integers in the generator table range "
-                                f"{TABLE_RANGE.start}..{TABLE_RANGE.stop - 1}, got {m!r}")
-        if self.burn_in_m is not None and self.burn_in_m not in TABLE_RANGE:
-            raise SpecError(f"burn_in_m={self.burn_in_m} outside the table range")
+            if not _is_int(m) or m not in M_RANGE:
+                raise SpecError(f"m_values must be integers in {M_RANGE.start}..{MAX_M} "
+                                f"(the generator table up to the period budget), got {m!r}")
+        if self.burn_in_m is not None and self.burn_in_m not in M_RANGE:
+            raise SpecError(f"burn_in_m={self.burn_in_m} outside {M_RANGE.start}..{MAX_M} "
+                            f"(the generator table up to the period budget)")
         if not self.schedules:
             raise SpecError("at least one schedule is required")
         if self.truth is not None and self.model not in DEFAULT_TRUTH:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lqmc.cli import (EXIT_DIVERGENCE, EXIT_OK, EXIT_VALIDATION, main)
-from lqmc.cud_core import builtin_config, generate_cud
+from lqmc.cud_core import MAX_M, builtin_config, generate_cud
 from lqmc.drive import build_drive_matrix
 from lqmc.prng import BaselinePrng
 
@@ -60,6 +60,33 @@ class TestGen:
         out = capsys.readouterr().out
         assert out.startswith("# m")
         assert "32  0x1000000af  2" in out
+        assert [int(line.split()[0]) for line in out.splitlines()[1:]] == list(range(3, 33))
+
+    def test_order_above_budget_refused(self, capsys):
+        assert run_cli("gen", "-m", str(MAX_M + 4)) == EXIT_VALIDATION
+        assert f"budget of 2^{MAX_M}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, rows", [
+        (("-m", "17"), None),  # several write blocks
+        (("-m", "9", "--count", "100"), None),
+        (("-m", "16", "--matrix", "3"), 3),
+        (("-m", "16", "--matrix", "4", "--shift-seed", "7"), 4),
+    ], ids=["sequence", "count", "matrix", "matrix-shifted"])
+    def test_bytes_equal_per_value_formatting(self, tmp_path, capsys, argv, rows):
+        seq = generate_cud(builtin_config(int(argv[1])))
+        if rows is None:
+            count = int(argv[3]) if "--count" in argv else seq.n
+            expected = "".join("%.17g\n" % v for v in seq.values[:count])
+        else:
+            rng = BaselinePrng(int(argv[-1])) if "--shift-seed" in argv else None
+            matrix = build_drive_matrix(seq, rows, rng=rng)
+            expected = "".join(",".join("%.17g" % v for v in row) + "\n"
+                               for row in matrix.rows())
+        out = tmp_path / "gen.csv"
+        assert run_cli("gen", *argv) == EXIT_OK
+        assert capsys.readouterr().out == expected
+        assert run_cli("--output", str(out), "gen", *argv) == EXIT_OK
+        assert out.read_text() == expected
 
 
 class TestDiscrepancy:

@@ -104,6 +104,20 @@ class TestRotation:
         inverse = quantize_shift((1.0 - delta) % 1.0)
         assert np.array_equal(rotate(shifted, inverse[0]), values)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 32), st.data())
+    def test_same_bits_as_float_remainder(self, m, data):
+        # dyadic values k/2^m plus shifts on the 2^-52 grid, some summing to 1
+        k = np.array(data.draw(st.lists(st.integers(0, 2**m - 1), min_size=1, max_size=50)))
+        values = k / 2.0**m
+        grid = np.array(data.draw(st.lists(st.integers(0, 2**52 - 1), min_size=len(k),
+                                           max_size=len(k)))) / 2.0**52
+        exact_one = 1.0 - values  # exact: 1 - k/2^m is on the 2^-52 grid for m <= 32
+        edge = (np.arange(len(k)) % 3 == 0) & (k > 0)
+        shift = np.where(edge, exact_one, grid)
+        assert np.all(values[edge] + shift[edge] == 1.0)
+        assert rotate(values, shift).tobytes() == ((values + shift) % 1.0).tobytes()
+
     def test_rotation_keeps_unit_interval(self):
         seq = generate_cud(builtin_config(10))
         m = build_drive_matrix(seq, 3, rng=BaselinePrng(11))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqmc.bench import run_comparison
+from lqmc.cud_core import MAX_M
 from lqmc.errors import DivergenceError, SpecError
 from lqmc.experiment import (DEFAULT_TRUTH, MODELS, TEST_FUNCTIONS,
                              ExperimentSpec, ScheduleSpec, TruthSpec, load_spec)
@@ -62,6 +63,14 @@ class TestExperimentSpecValidation:
             self._ok(m_values=(2,))
         with pytest.raises(SpecError):
             self._ok(m_values=(40,))
+
+    def test_m_above_period_budget(self):
+        # in the generator table, but its period would not fit
+        assert self._ok(m_values=(4, MAX_M)).m_values == (4, MAX_M)
+        with pytest.raises(SpecError, match="period budget"):
+            self._ok(m_values=(4, MAX_M + 1))
+        with pytest.raises(SpecError, match="period budget"):
+            self._ok(burn_in_m=32)
 
     def test_minibatch_bounds(self):
         with pytest.raises(SpecError):
@@ -253,6 +262,12 @@ def _spec_fields(draw):
         fields["noise_var"] = draw(st.floats(0.01, 1.0) | st.floats(-0.5, 1.0))
     if model in DEFAULT_TRUTH:
         fields["truth"] = TruthSpec(h=1e-3, n_steps=64, chains=2, seed=draw(st.integers(0, 3)))
+    # rarely, an order in the generator table but above the period budget
+    over = draw(st.sampled_from((None,) * 8 + ("m_values", "burn_in_m")))
+    if over == "m_values":
+        fields["m_values"] += (draw(st.integers(MAX_M + 1, 32)),)
+    elif over == "burn_in_m":
+        fields["burn_in_m"] = draw(st.integers(MAX_M + 1, 32))
     # at most one integer field replaced by a float or a bool
     bad = draw(st.none() | st.sampled_from(sorted(
         k for k in ("n_obs", "dim", "data_seed", "seed", "replicates", "minibatch", "offset",

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqmc.cud_core import (CudSequence, Gf2Poly, LfsrConfig, builtin_config,
-                           generate_cud, lfsr_bitstream, lfsr_period)
-from lqmc.errors import ConfigurationError
+from test_gf2 import naive_lfsr_period
+
+from lqmc.cud_core import (MAX_M, Gf2Poly, LfsrConfig, builtin_config, builtin_poly,
+                           generate_cud, is_primitive, lfsr_bitstream, lfsr_period)
+from lqmc.errors import ConfigurationError, SizeError
 
 X3_X_1 = Gf2Poly(3, (1, 1, 0))
 
@@ -49,6 +51,62 @@ class TestBitstream:
 
     def test_zero_count(self):
         assert len(lfsr_bitstream(builtin_config(5), 0)) == 0
+
+
+@st.composite
+def _register(draw, primitive=None):
+    """(coeffs, seed) of a register of order m <= 10; table (primitive) or random taps."""
+    m = draw(st.integers(2, 10))
+    if m >= 3 and (draw(st.booleans()) if primitive is None else primitive):
+        coeffs = builtin_poly(m).coeffs
+    else:
+        coeffs = (1,) + tuple(draw(st.lists(st.integers(0, 1), min_size=m - 1,
+                                            max_size=m - 1)))
+    seed = tuple(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)
+                      .filter(any)))
+    return coeffs, seed
+
+
+class TestLaneStepper:
+    """The lane-parallel stepper against the recursion on plain lists."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_register(), st.data())
+    def test_bitstream_matches_oracle(self, register, data):
+        coeffs, seed = register
+        m = len(coeffs)
+        count = data.draw(st.integers(0, 3 * 2**m + 2 * m))  # beyond the period
+        cfg = LfsrConfig(Gf2Poly(m, coeffs), offset=1, seed=seed)
+        assert lfsr_bitstream(cfg, count).tolist() == oracle_bits(coeffs, seed, count)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_register(primitive=False).filter(
+        lambda r: not is_primitive(Gf2Poly(len(r[0]), r[0]))))
+    def test_period_of_non_primitive_matches_naive(self, register):
+        coeffs, seed = register
+        cfg = LfsrConfig(Gf2Poly(len(coeffs), coeffs), offset=1, seed=seed)
+        assert lfsr_period(cfg) == naive_lfsr_period(list(coeffs), list(seed))
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_cud_matches_window_formula(self, m):
+        n = 2**m - 1
+        cfg = builtin_config(m)
+        bits = np.array(oracle_bits(cfg.poly.coeffs, cfg.seed, n + m - 1))
+        for s in (s for s in range(1, 20) if math.gcd(s, n) == 1):
+            starts = np.arange(n) * s % n
+            expected = np.zeros(n)
+            for j in range(m):
+                expected += bits[starts + j] * 2.0 ** -(j + 1)
+            assert np.array_equal(generate_cud(builtin_config(m, s)).values, expected), s
+
+    def test_sizes_above_the_budget_refused(self):
+        big = builtin_config(MAX_M + 1)
+        with pytest.raises(SizeError):
+            generate_cud(big)
+        with pytest.raises(SizeError):
+            lfsr_period(big)
+        with pytest.raises(SizeError):
+            lfsr_bitstream(builtin_config(5), (1 << MAX_M) + 1)
 
 
 class TestConfigValidation:

@@ -1,5 +1,6 @@
-"""Smoke tests: both scripts run end to end at their smallest settings."""
+"""Smoke tests: each script runs end to end at its smallest settings."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -31,3 +32,43 @@ def test_run_desk_suite_double_well(tmp_path):
     for suffix in (".csv", ".replicates.csv", ".meta.yaml"):
         assert (tmp_path / f"double_well_desk{suffix}").stat().st_size > 0
     assert "ratio=" in proc.stdout
+
+
+def _perfbench_result(root, workload, seed, wall, failed=0):
+    out = root / ".perfbench_out"
+    out.mkdir(parents=True, exist_ok=True)
+    children = [{"ok": i >= failed, "machine": {"nproc": 2}} for i in range(3)]
+    record = {"workload": workload, "seed": seed, "trace": 0, "children": children,
+              "summary": {"wall_s": wall, "setup_s": 0.5, "peak_rss_mb": 100.0 + seed}}
+    (out / f"result-{workload}-seed{seed}-trace0.json").write_text(json.dumps(record))
+
+
+def test_bench_record(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root, walls in ((parent, (4.0, 5.0, 4.5)), (change, (2.0, 5.5, 2.2))):
+        (root / "src").mkdir(parents=True)
+        (root / "src" / "a.py").write_text(f"# {root.name}\n")
+        for seed, wall in enumerate(walls):
+            _perfbench_result(root, "gen", seed, wall, failed=int(seed == 1))
+    _perfbench_result(parent, "sgld", 0, 3.0)  # a workload the change did not run
+    proc = _run_script("bench_record.py", "--parent", str(parent), "--change", str(change),
+                       "--topic", "demo", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tmp_path / "BENCH_demo.json").read_text())
+    assert record["machine"] == {"nproc": 2}
+    gen = record["change"]["workloads"]["gen"]
+    assert [r["wall_s"] for r in gen["runs"]] == [2.0, 5.5, 2.2]
+    assert [r["failed"] for r in gen["runs"]] == [0, 1, 0]
+    assert gen["median"] == {"wall_s": 2.2, "setup_s": 0.5, "peak_rss_mb": 101.0}
+    assert set(record["parent"]["workloads"]) == {"gen", "sgld"}
+    assert record["parent"]["src_sha256"] != record["change"]["src_sha256"]
+    assert record["pairs"]["gen"]["seeds"] == [0, 1, 2]
+    assert record["pairs"]["gen"]["wall_s"]["change_wins"] == 2
+    assert record["pairs"]["gen"]["wall_s"]["median_ratio"] == 0.5  # of 0.5, 1.1, 0.49
+    assert set(record["pairs"]) == {"gen"}
+    assert "gen: wall_s 2/3 wins" in proc.stdout
+    # no results under a checkout: refused
+    proc = _run_script("bench_record.py", "--parent", str(tmp_path / "none"),
+                       "--change", str(change), "--topic", "demo",
+                       "--out-dir", str(tmp_path))
+    assert proc.returncode == 2
