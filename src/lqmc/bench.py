@@ -218,11 +218,14 @@ def run_comparison(
     meta_drive: dict = {}
     meta_schedules: dict = {}
     diag: dict = {}
+    steps = 0
+    cud_values = burn_n
 
     for m in spec.m_values:
         n = (1 << m) - 1
         n_run = spec.n_override if spec.n_override is not None else n
         main_seq = generate_cud(configs[m])
+        cud_values += main_seq.n
         meta_drive[m] = {
             "n": n,
             "n_run": n_run,
@@ -249,7 +252,9 @@ def run_comparison(
                                 sched_idx, m)
             names = tuple(f"{spec.model} {method} m={m} schedule={sspec.label} replicate {r}"
                           for method, r in cell)
-            means = _cell_means(potential, ChainBatch(tuple(cell.values()), names), burn_n)
+            batch = ChainBatch(tuple(cell.values()), names)
+            means = _cell_means(potential, batch, burn_n)
+            steps += batch.n_steps
             if trajectory_dir is not None:
                 for (method, r), chain in cell.items():
                     _dump(potential, chain,
@@ -285,6 +290,13 @@ def run_comparison(
         "drive": meta_drive,
         "schedules": meta_schedules,
         "contraction": diag,
+        "counts": {  # of the comparison chains; trajectory dumps re-run them uncounted
+            "chain_steps": steps,
+            "exact_gradients": 0 if spec.minibatch else steps,
+            "minibatch_gradients": steps if spec.minibatch else 0,
+            "minibatch_indices": steps * (spec.minibatch or 0),
+            "cud_values": cud_values,
+        },
     }
     return MseReport(rows=rows, metadata=metadata, replicate_rows=replicate_rows)
 

@@ -159,6 +159,9 @@ class ChainConfig:
             raise ConfigurationError("n_steps must be nonnegative")
         if self.minibatch is not None and self.minibatch < 1:
             raise ConfigurationError("minibatch size must be >= 1")
+        if self.schedule_start < 1:
+            raise ConfigurationError(
+                f"schedule_start must be >= 1, got {self.schedule_start}")
 
     @property
     def dim(self) -> int:

@@ -184,6 +184,22 @@ class TestRunComparison:
         info = meta["contraction"]["constant_h0.01/m4"]
         assert 0 < info["rho"] < 1 and info["ell"] >= 1
 
+    def test_counts_record_the_work_of_the_run(self):
+        # 2 methods x 3 replicates per cell; every chain is burn-in (7)
+        # plus the main period (15 at m=4, 31 at m=5), one minibatch
+        # gradient of 4 indices per step.
+        spec = ExperimentSpec(
+            model="logistic", m_values=(4, 5), n_obs=12, dim=2, replicates=3,
+            minibatch=4, burn_in_m=3, schedules=(ScheduleSpec(kind="constant", h=0.01),),
+        )
+        steps = 2 * 3 * ((7 + 15) + (7 + 31))
+        assert run_comparison(spec, truth=_flat_truth(2)).metadata["counts"] == {
+            "chain_steps": steps, "exact_gradients": 0, "minibatch_gradients": steps,
+            "minibatch_indices": 4 * steps, "cud_values": 7 + 15 + 31}
+        exact = run_comparison(_tiny_spec(m_values=(3,))).metadata["counts"]
+        assert exact["exact_gradients"] == exact["chain_steps"] == 2 * 3 * 7
+        assert exact["minibatch_gradients"] == exact["minibatch_indices"] == 0
+
     def test_csv_layout(self):
         report = run_comparison(_tiny_spec(m_values=(3,)))
         lines = report.to_csv().strip().split("\n")

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqmc.prng import BaselinePrng
+from lqmc.prng import _AHEAD, BaselinePrng
 
 # frozen outputs of the documented construction; any change to the
 # constants or mixing breaks cross-run reproducibility and must fail here
@@ -32,6 +32,10 @@ class TestDeterminism:
         u = BaselinePrng(3).uniform(10_000)
         assert u.min() >= 0.0
         assert u.max() < 1.0
+
+    def test_negative_counter_refused_at_construction(self):
+        with pytest.raises(ValueError, match="counter"):
+            BaselinePrng(0, 3, counter=-1)
 
     def test_uniform_moments(self):
         u = BaselinePrng(12).uniform(200_000)
@@ -65,3 +69,69 @@ class TestIndexSubset:
             counts[BaselinePrng(s, 5).index_subset(10, 3)] += 1
         freq = counts / 2000
         assert np.abs(freq - 0.3).max() < 0.05
+
+
+def _pool_subset(u, n, k):
+    """The plain partial Fisher-Yates over a materialized pool."""
+    pool = np.arange(n)
+    for j in range(k):
+        r = j + int(u[j] * (n - j))
+        pool[j], pool[r] = pool[r], pool[j]
+    return pool[:k].copy()
+
+
+_SIZES = st.one_of(st.integers(0, 40), st.sampled_from(
+    [0, 1, _AHEAD - 1, _AHEAD, _AHEAD + 1, 2 * _AHEAD + 3]))
+
+
+class TestLookAhead:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**50),
+           counter=st.sampled_from([0, 1, 5, _AHEAD - 3, 2**40 + 7]),
+           calls=st.lists(st.tuples(st.sampled_from(["uint64", "uniform", "index_subset"]),
+                                    _SIZES, st.integers(0, 30)), max_size=25))
+    def test_every_draw_is_its_slice_of_one_bulk_draw(self, seed, stream, counter, calls):
+        # Small draws come from the look-ahead block, large ones straight
+        # from the counter; either way output i of the stream is the same.
+        total = sum(size for _, size, _ in calls)
+        words = BaselinePrng(seed, stream, counter).uint64(max(total, _AHEAD))
+        units = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        g = BaselinePrng(seed, stream, counter)
+        used = 0
+        for kind, size, extra in calls:
+            lo, used = used, used + size
+            if kind == "uint64":
+                out, want = g.uint64(size), words[lo:used]
+            elif kind == "uniform":
+                out, want = g.uniform(size), units[lo:used]
+            else:
+                out = g.index_subset(size + extra, size)
+                want = _pool_subset(units[lo:used], size + extra, size)
+            assert out.dtype == want.dtype and np.array_equal(out, want)
+            assert g._counter == counter + used
+
+    def test_returned_words_do_not_alias_the_block(self):
+        g = BaselinePrng(4)
+        g.uint64(3)[:] = 0
+        g.uniform(3)[:] = 0
+        assert np.array_equal(g.uint64(4), BaselinePrng(4).uint64(_AHEAD)[6:10])
+
+
+class TestFisherYatesEquivalence:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 200])
+    def test_every_k_in_turn_on_one_stream(self, n):
+        g, ref = BaselinePrng(9, n), BaselinePrng(9, n)
+        for k in range(n + 1):
+            out = g.index_subset(n, k)
+            want = _pool_subset(ref.uniform(k), n, k)
+            assert out.dtype == want.dtype == np.int64
+            assert np.array_equal(out, want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           draws=st.lists(st.integers(0, 200).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(0, n))), max_size=20))
+    def test_successive_draws_match_the_pool_loop(self, seed, draws):
+        g, ref = BaselinePrng(seed, 1), BaselinePrng(seed, 1)
+        for n, k in draws:
+            assert np.array_equal(g.index_subset(n, k), _pool_subset(ref.uniform(k), n, k))

@@ -150,6 +150,13 @@ class TestStochasticGradients:
         assert not np.array_equal(run_chain(pot, base).trajectory,
                                   run_chain(pot, mb).trajectory)
 
+    @pytest.mark.parametrize("schedule", [ConstantSchedule(0.01), PolynomialSchedule(1.0, 0.0)])
+    @pytest.mark.parametrize("start", [0, -3])
+    def test_schedule_start_below_one_refused(self, schedule, start):
+        with pytest.raises(ConfigurationError, match="schedule_start"):
+            ChainConfig(np.zeros(2), 10, schedule, PseudoRandomDrive(0), minibatch=4,
+                        schedule_start=start)
+
     def test_requires_sgrad_support(self):
         pot = standard_gaussian_potential(2)
         cfg = ChainConfig(np.zeros(2), 10, ConstantSchedule(0.01),
