@@ -35,8 +35,9 @@ def main() -> int:
         truth = None
         cache = outdir / f"{name}.truth.json"
         if spec.model in ("logistic", "crossed"):
-            truth = models.load_ground_truth_if_exists(cache)
-            if truth is None:
+            if cache.exists():
+                truth = models.load_ground_truth(cache)
+            else:
                 potential, _ = bench.build_model(spec)
                 truth = bench.ground_truth_for(spec, potential)
                 models.save_ground_truth(truth, cache)

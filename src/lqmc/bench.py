@@ -22,7 +22,7 @@ from .cud_core import (DEFAULT_OFFSET, Gf2Poly, LfsrConfig, PointSet,
                        builtin_config, factorize, generate_cud)
 from .drive import build_drive_matrix, coprime_width
 from .errors import ConfigurationError, DomainError
-from .experiment import DEFAULT_TRUTH, TEST_FUNCTIONS, ExperimentSpec
+from .experiment import DEFAULT_TRUTH, TEST_FUNCTIONS, ExperimentSpec, TruthSpec
 from .models import (GroundTruth, closed_form_posterior,
                      crossed_effects_potential, double_well_potential,
                      double_well_truth, linear_regression_potential,
@@ -113,15 +113,23 @@ def build_model(spec: ExperimentSpec):
     return crossed_effects_potential(data.y), data
 
 
+def truth_source(spec: ExperimentSpec) -> tuple[str, TruthSpec | None]:
+    """The provenance of the model's ground truth, and the reference-run
+    settings when it is a long reference run (None otherwise)."""
+    if spec.model in DEFAULT_TRUTH:
+        return "long-reference-run", spec.truth or DEFAULT_TRUTH[spec.model]
+    return ("closed-form" if spec.model == "linear" else "quadrature"), None
+
+
 def ground_truth_for(spec: ExperimentSpec, potential) -> GroundTruth:
-    """Closed form, quadrature, or a long reference run, per model."""
-    if spec.model == "linear":
+    """Closed form, quadrature, or a long reference run, per ``truth_source``."""
+    provenance, ts = truth_source(spec)
+    if provenance == "closed-form":
         data = synthesize_data("linear", spec.n_obs, spec.dim, spec.data_seed,
                                noise_var=spec.noise_var)
         return closed_form_posterior(data)
-    if spec.model == "double_well":
+    if provenance == "quadrature":
         return double_well_truth()
-    ts = spec.truth or DEFAULT_TRUTH[spec.model]
     return reference_ground_truth(
         potential, h=ts.h, n_steps=ts.n_steps, n_chains=ts.chains, seed=ts.seed
     )

@@ -11,7 +11,6 @@ small-step reference chain averaged over independent seeds.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -184,11 +183,8 @@ def logistic_potential(data: SyntheticDataset) -> Potential:
         t = X @ beta
         return float(np.logaddexp(0.0, t).sum() - y @ t + 0.5 * beta @ beta)
 
-    def grad(beta):
-        return X.T @ (expit(X @ beta) - y) + beta
-
-    def grad_batch(thetas):
-        return (expit(thetas @ X.T) - y) @ X + thetas
+    def grad(beta):  # a vector or an (s, d) stack
+        return (expit(beta @ X.T) - y) @ X + beta
 
     def sgrad(beta, idx):
         xb = X[idx]
@@ -197,7 +193,7 @@ def logistic_potential(data: SyntheticDataset) -> Potential:
 
     lam_max = float(np.linalg.eigvalsh(X.T @ X).max()) if n_data else 0.0
     return Potential(
-        dim=d, value=value, grad=grad, grad_batch=grad_batch, sgrad=sgrad,
+        dim=d, value=value, grad=grad, grad_batch=grad, sgrad=sgrad,
         num_data=n_data, smoothness=lam_max / 4.0 + 1.0, strong_convexity=1.0,
         name="logistic",
     )
@@ -222,11 +218,8 @@ def linear_regression_potential(data: SyntheticDataset) -> Potential:
         r = X @ beta - y
         return float(0.5 * (r @ r) / sigma2 + 0.5 * beta @ beta)
 
-    def grad(beta):
-        return X.T @ (X @ beta - y) / sigma2 + beta
-
-    def grad_batch(thetas):
-        return (thetas @ X.T - y) @ X / sigma2 + thetas
+    def grad(beta):  # a vector or an (s, d) stack
+        return (beta @ X.T - y) @ X / sigma2 + beta
 
     def sgrad(beta, idx):
         xb = X[idx]
@@ -234,7 +227,7 @@ def linear_regression_potential(data: SyntheticDataset) -> Potential:
         return beta + scale * (xb.T @ (xb @ beta - y[idx])) / sigma2
 
     return Potential(
-        dim=d, value=value, grad=grad, grad_batch=grad_batch, sgrad=sgrad,
+        dim=d, value=value, grad=grad, grad_batch=grad, sgrad=sgrad,
         num_data=n_data, smoothness=float(eigs[-1]), strong_convexity=float(eigs[0]),
         name="linear",
     )
@@ -266,28 +259,42 @@ def closed_form_posterior(data: SyntheticDataset) -> GroundTruth:
 
 
 def crossed_effects_potential(Y: np.ndarray) -> Potential:
-    """Hierarchical Gaussian model on (mu, a_1..a_I, b_1..b_J, la, lb).
+    """Hierarchical Gaussian model on theta = (mu, a_1..a_I, b_1..b_J, la, lb).
 
-    Observations Y_ij ~ N(mu + a_i + b_j, 1); mu and both log-variances
-    la = log sa^2, lb = log sb^2 have standard normal priors; the effects
-    a_i ~ N(0, e^la), b_j ~ N(0, e^lb).  Sampling the log-variances keeps
-    the state space unconstrained:
+    Y_ij ~ N(mu + a_i + b_j, 1); mu, la = log sa^2 and lb = log sb^2 have
+    standard normal priors; a_i ~ N(0, e^la) and b_j ~ N(0, e^lb):
 
-        U = sum r_ij^2/2 + mu^2/2
+        U = sum r_ij^2/2 + mu^2/2                  (r_ij = Y_ij - mu - a_i - b_j)
             + e^{-la} sum a_i^2/2 + (I/2) la + la^2/2
             + e^{-lb} sum b_j^2/2 + (J/2) lb + lb^2/2
+
+    The gradient sees Y only through its sums: theta A - c plus two
+    nonlinear terms.  A is the constant symmetric d x d matrix with IJ+1 at
+    (mu, mu), J at (mu, a_i), I at (mu, b_j), J Id on the a block, I Id on
+    the b block, 1 between a and b, and 1 at (la, la) and (lb, lb); c is
+    (sum Y, row sums, column sums, -I/2, -J/2).  With w = (e^-la, e^-lb),
+    the effects gain w a_i and w b_j, and the log-variance entries lose
+    w (sum a_i^2, sum b_j^2) / 2.  One function is ``grad`` on a vector and
+    ``grad_batch`` on an (s, d) stack.  ``value`` deliberately stays in the
+    residual form, so finite differences check the gradient against an
+    independent formula.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2 or Y.shape[0] < 1 or Y.shape[1] < 1:
         raise ConfigurationError("Y must be a nonempty I x J matrix")
     i_sz, j_sz = Y.shape
     d = i_sz + j_sz + 3
-
-    def unpack(th):
-        return th[0], th[1 : 1 + i_sz], th[1 + i_sz : 1 + i_sz + j_sz], th[-2], th[-1]
+    E = np.repeat(np.eye(2), [i_sz, j_sz], axis=1)  # (2, I + J) block indicator
+    counts = np.repeat([float(j_sz), float(i_sz)], [i_sz, j_sz])  # observations per effect
+    A = np.zeros((d, d))
+    A[1:-2, 1:-2] = E.T @ E[::-1] + np.diag(counts)  # E.T @ E[::-1]: 1 between a and b
+    A[0, 1:-2] = A[1:-2, 0] = counts
+    A[0, 0], A[-2, -2], A[-1, -1] = i_sz * j_sz + 1, 1.0, 1.0
+    c = np.concatenate([[Y.sum()], Y.sum(axis=1), Y.sum(axis=0),
+                        [-0.5 * i_sz, -0.5 * j_sz]])
 
     def value(th):
-        mu, a, b, la, lb = unpack(th)
+        mu, a, b, la, lb = th[0], th[1 : 1 + i_sz], th[1 + i_sz : -2], th[-2], th[-1]
         r = Y - mu - a[:, None] - b[None, :]
         return float(
             0.5 * (r * r).sum() + 0.5 * mu * mu
@@ -296,33 +303,14 @@ def crossed_effects_potential(Y: np.ndarray) -> Potential:
         )
 
     def grad(th):
-        mu, a, b, la, lb = unpack(th)
-        r = Y - mu - a[:, None] - b[None, :]
-        g = np.empty(d)
-        g[0] = -r.sum() + mu
-        g[1 : 1 + i_sz] = -r.sum(axis=1) + a * np.exp(-la)
-        g[1 + i_sz : 1 + i_sz + j_sz] = -r.sum(axis=0) + b * np.exp(-lb)
-        g[-2] = -0.5 * np.exp(-la) * (a @ a) + 0.5 * i_sz + la
-        g[-1] = -0.5 * np.exp(-lb) * (b @ b) + 0.5 * j_sz + lb
+        g = th @ A - c
+        w = np.exp(-th[..., -2:])
+        ab = th[..., 1:-2]
+        g[..., 1:-2] += ab * (w @ E)
+        g[..., -2:] -= 0.5 * w * ((ab * ab) @ E.T)
         return g
 
-    def grad_batch(thetas):
-        mu = thetas[:, 0]
-        a = thetas[:, 1 : 1 + i_sz]
-        b = thetas[:, 1 + i_sz : 1 + i_sz + j_sz]
-        la = thetas[:, -2]
-        lb = thetas[:, -1]
-        r = Y[None] - mu[:, None, None] - a[:, :, None] - b[:, None, :]
-        g = np.empty_like(thetas)
-        g[:, 0] = -r.sum(axis=(1, 2)) + mu
-        g[:, 1 : 1 + i_sz] = -r.sum(axis=2) + a * np.exp(-la)[:, None]
-        g[:, 1 + i_sz : 1 + i_sz + j_sz] = -r.sum(axis=1) + b * np.exp(-lb)[:, None]
-        g[:, -2] = -0.5 * np.exp(-la) * (a * a).sum(axis=1) + 0.5 * i_sz + la
-        g[:, -1] = -0.5 * np.exp(-lb) * (b * b).sum(axis=1) + 0.5 * j_sz + lb
-        return g
-
-    return Potential(dim=d, value=value, grad=grad, grad_batch=grad_batch,
-                     name="crossed")
+    return Potential(dim=d, value=value, grad=grad, grad_batch=grad, name="crossed")
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +325,10 @@ def double_well_potential() -> Potential:
         x = th[0]
         return float(0.25 * x * x - 0.5 * np.log1p(x * x))
 
-    def grad(th):
-        x = th[0]
-        return np.array([0.5 * x - x / (1.0 + x * x)])
+    def grad(th):  # a vector or an (s, 1) stack
+        return 0.5 * th - th / (1.0 + th * th)
 
-    def grad_batch(thetas):
-        x = thetas[:, 0]
-        return (0.5 * x - x / (1.0 + x * x))[:, None]
-
-    return Potential(dim=1, value=value, grad=grad, grad_batch=grad_batch,
-                     name="double_well")
+    return Potential(dim=1, value=value, grad=grad, grad_batch=grad, name="double_well")
 
 
 _DW_RADIUS = 20.0  # exp(-R^2/4) ~ 4e-44: truncated tail mass far below 1e-12
@@ -447,10 +429,6 @@ def save_ground_truth(gt: GroundTruth, path) -> None:
 def load_ground_truth(path) -> GroundTruth:
     with open(path) as fh:
         return GroundTruth.from_dict(json.load(fh))
-
-
-def load_ground_truth_if_exists(path) -> GroundTruth | None:
-    return load_ground_truth(path) if os.path.exists(path) else None
 
 
 def reference_ground_truth(

@@ -1,8 +1,9 @@
 """Shared fixtures: spec files and (cached) reference-run ground truths.
 
-The two reference truths take minutes to compute, so they are stored in
-pytest's JSON cache keyed by their parameters; delete .pytest_cache to
-force recomputation.
+The two reference truths (2^22 steps, 10 chains each) are slow to compute
+cold: the crossed one took about 110 s on a 2-vCPU host with
+single-threaded BLAS.  They are stored in pytest's JSON cache keyed by
+their parameters; delete .pytest_cache to force recomputation.
 """
 
 import pathlib

@@ -185,6 +185,44 @@ run: {replicates: 3, seed: 5, test_functions: [coordinate]}
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestRunTruthProgress:
+    SPEC = """
+model: {kind: crossed, n_obs: 2, dim: 3, data_seed: 4}
+drive: {m_values: [4]}
+schedules:
+  - {kind: constant, h: 0.01}
+run: {replicates: 2, seed: 1, test_functions: [coordinate]}
+truth: {h: 0.001, n_steps: 1024, chains: 2, seed: 5}
+"""
+
+    def test_computed_then_loaded(self, tmp_path, capsys):
+        spec = tmp_path / "crossed.yaml"
+        spec.write_text(self.SPEC)
+        cache = tmp_path / "truth.json"
+        assert run_cli("run", str(spec), "--truth-cache", str(cache)) == EXIT_OK
+        miss = capsys.readouterr()
+        lines = miss.err.strip().split("\n")
+        assert lines[0] == ("truth: computing crossed long-reference-run "
+                            "h=0.001 n_steps=1024 chains=2")
+        assert re.fullmatch(rf"truth: done in \d+\.\d s, saved to {re.escape(str(cache))}",
+                            lines[1])
+        assert len(lines) == 2 and cache.exists()
+        assert miss.out.startswith("model,method,m,n,schedule")
+
+        assert run_cli("run", str(spec), "--truth-cache", str(cache)) == EXIT_OK
+        hit = capsys.readouterr()
+        assert hit.err == f"truth: loaded from cache {cache}\n"
+        assert hit.out == miss.out
+
+    def test_uncached_exact_truth(self, tmp_path, capsys):
+        spec = tmp_path / "tiny.yaml"
+        spec.write_text(TestRun.SPEC)
+        assert run_cli("run", str(spec)) == EXIT_OK
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err[0] == "truth: computing linear closed-form"
+        assert re.fullmatch(r"truth: done in \d+\.\d s, not cached", err[1])
+
+
 class TestDiagnose:
     def test_quadratic_exact_ratio(self, capsys):
         assert run_cli("diagnose", "--model", "quadratic", "--dim", "1",

@@ -140,7 +140,45 @@ class TestClosedFormPosterior:
         assert closed_form_posterior(data).provenance == "closed-form"
 
 
+def residual_crossed_grad(Y, thetas):
+    """The crossed gradient from the residual tensor r_sij = Y_ij - mu_s - a_si - b_sj,
+    reduced three ways: an independent reference for the sufficient-statistic form."""
+    thetas = np.atleast_2d(thetas)
+    i_sz, j_sz = Y.shape
+    mu, la, lb = thetas[:, 0], thetas[:, -2], thetas[:, -1]
+    a, b = thetas[:, 1 : 1 + i_sz], thetas[:, 1 + i_sz : 1 + i_sz + j_sz]
+    r = Y[None] - mu[:, None, None] - a[:, :, None] - b[:, None, :]
+    g = np.empty_like(thetas)
+    g[:, 0] = -r.sum(axis=(1, 2)) + mu
+    g[:, 1 : 1 + i_sz] = -r.sum(axis=2) + a * np.exp(-la)[:, None]
+    g[:, 1 + i_sz : 1 + i_sz + j_sz] = -r.sum(axis=1) + b * np.exp(-lb)[:, None]
+    g[:, -2] = -0.5 * np.exp(-la) * (a * a).sum(axis=1) + 0.5 * i_sz + la
+    g[:, -1] = -0.5 * np.exp(-lb) * (b * b).sum(axis=1) + 0.5 * j_sz + lb
+    return g
+
+
 class TestCrossedEffects:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (4, 3), (7, 2)])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["vector", "stack"])
+    def test_gradient_matches_residual_form(self, shape, stacked):
+        data = synthesize_data("crossed", *shape, seed=7)
+        pot = crossed_effects_potential(data.y)
+        thetas = np.linspace(-2, 2, 6 * pot.dim).reshape(6, pot.dim)
+        expect = residual_crossed_grad(data.y, thetas)
+        if stacked:
+            got = pot.grad_batch(thetas)
+        else:
+            got = np.stack([pot.grad(t) for t in thetas])
+        assert got.shape == expect.shape
+        for g, e in zip(got, expect):
+            assert np.allclose(g, e, rtol=0, atol=1e-12 * max(np.linalg.norm(e), 1.0))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 3)])
+    def test_finite_difference_match_other_shapes(self, shape):
+        data = synthesize_data("crossed", *shape, seed=11)
+        pot = crossed_effects_potential(data.y)
+        assert max_gradient_error(pot, n_probes=100, seed=3) < 1e-5
+
     def test_gradient_at_zero_with_zero_data(self):
         pot = crossed_effects_potential(np.zeros((3, 5)))
         g = pot.grad(np.zeros(11))
