@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run every desk-scale experiment spec and write reports under results/.
 
-Reference-run ground truths are cached next to the reports, so repeated
-invocations only pay for the chains under comparison.
+Ground truths are cached next to the reports (the same cache as
+``lqmc run --truth-cache``), so repeated invocations only pay for the
+chains under comparison.
 """
 
 import argparse
@@ -10,7 +11,9 @@ import pathlib
 import sys
 import time
 
-from lqmc import bench, models
+import yaml
+
+from lqmc import bench
 from lqmc.experiment import load_spec
 
 SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -32,22 +35,11 @@ def main() -> int:
         print(f"== {name}: model={spec.model} m={list(spec.m_values)} "
               f"R={spec.replicates}", flush=True)
         t0 = time.time()
-        truth = None
-        cache = outdir / f"{name}.truth.json"
-        if spec.model in ("logistic", "crossed"):
-            if cache.exists():
-                truth = models.load_ground_truth(cache)
-            else:
-                potential, _ = bench.build_model(spec)
-                truth = bench.ground_truth_for(spec, potential)
-                models.save_ground_truth(truth, cache)
-                print(f"   reference truth computed in {time.time() - t0:.0f}s")
+        truth = bench.cached_ground_truth(spec, outdir / f"{name}.truth.json")
         report = bench.run_comparison(spec, truth=truth, collect_replicates=True)
         out = outdir / f"{name}.csv"
         out.write_text(report.to_csv())
         (outdir / f"{name}.replicates.csv").write_text(report.replicate_csv())
-        import yaml
-
         (outdir / f"{name}.meta.yaml").write_text(
             yaml.safe_dump(report.metadata, sort_keys=True))
         print(f"   done in {time.time() - t0:.0f}s -> {out}")

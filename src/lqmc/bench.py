@@ -14,6 +14,9 @@ byte-identical across runs.
 from __future__ import annotations
 
 import math
+import os
+import sys
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +29,8 @@ from .experiment import DEFAULT_TRUTH, TEST_FUNCTIONS, ExperimentSpec, TruthSpec
 from .models import (GroundTruth, closed_form_posterior,
                      crossed_effects_potential, double_well_potential,
                      double_well_truth, linear_regression_potential,
-                     logistic_potential, reference_ground_truth,
+                     load_ground_truth, logistic_potential,
+                     reference_ground_truth, save_ground_truth,
                      synthesize_data)
 from .prng import BaselinePrng
 from .samplers import (ChainBatch, ChainConfig, ChainRun, ConstantSchedule,
@@ -133,6 +137,25 @@ def ground_truth_for(spec: ExperimentSpec, potential) -> GroundTruth:
     return reference_ground_truth(
         potential, h=ts.h, n_steps=ts.n_steps, n_chains=ts.chains, seed=ts.seed
     )
+
+
+def cached_ground_truth(spec: ExperimentSpec, cache) -> GroundTruth:
+    """The spec's ground truth, loaded from ``cache`` if that file exists, else
+    computed (and saved to ``cache``); stderr says which, and how long it took.
+    ``lqmc run --truth-cache`` and ``scripts/run_desk_suite.py`` both use it."""
+    if cache is not None and os.path.exists(cache):
+        print(f"truth: loaded from cache {cache}", file=sys.stderr)
+        return load_ground_truth(cache)
+    provenance, ts = truth_source(spec)
+    settings = "" if ts is None else f" h={ts.h:g} n_steps={ts.n_steps} chains={ts.chains}"
+    print(f"truth: computing {spec.model} {provenance}{settings}", file=sys.stderr)
+    start = time.perf_counter()
+    truth = ground_truth_for(spec, build_model(spec)[0])
+    if cache is not None:
+        save_ground_truth(truth, cache)
+    print(f"truth: done in {time.perf_counter() - start:.1f} s, "
+          + ("not cached" if cache is None else f"saved to {cache}"), file=sys.stderr)
+    return truth
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +326,7 @@ def run_comparison(
             "exact_gradients": 0 if spec.minibatch else steps,
             "minibatch_gradients": steps if spec.minibatch else 0,
             "minibatch_indices": steps * (spec.minibatch or 0),
+            "normals": steps * d,
             "cud_values": cud_values,
         },
     }

@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import os
 import sys
-import time
 
 import numpy as np
 import yaml
@@ -186,27 +185,9 @@ def _cmd_discrepancy(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_truth(spec: ExperimentSpec, cache: str | None) -> models.GroundTruth:
-    """The spec's ground truth, loaded from ``cache`` if that file exists, else
-    computed (and saved to ``cache``); stderr says which, and how long it took."""
-    if cache is not None and os.path.exists(cache):
-        print(f"truth: loaded from cache {cache}", file=sys.stderr)
-        return models.load_ground_truth(cache)
-    provenance, ts = bench.truth_source(spec)
-    settings = "" if ts is None else f" h={ts.h:g} n_steps={ts.n_steps} chains={ts.chains}"
-    print(f"truth: computing {spec.model} {provenance}{settings}", file=sys.stderr)
-    start = time.perf_counter()
-    truth = bench.ground_truth_for(spec, bench.build_model(spec)[0])
-    if cache is not None:
-        models.save_ground_truth(truth, cache)
-    print(f"truth: done in {time.perf_counter() - start:.1f} s, "
-          + ("not cached" if cache is None else f"saved to {cache}"), file=sys.stderr)
-    return truth
-
-
 def _cmd_run(args) -> int:
     spec = load_spec(args.spec)
-    truth = _run_truth(spec, args.truth_cache)
+    truth = bench.cached_ground_truth(spec, args.truth_cache)
     if args.dump_trajectories is not None:
         os.makedirs(args.dump_trajectories, exist_ok=True)
     report = bench.run_comparison(

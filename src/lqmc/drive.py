@@ -128,23 +128,38 @@ def build_drive_matrix(
 # ---------------------------------------------------------------------------
 
 
+def _reflected_ndtri(u: np.ndarray) -> np.ndarray:
+    """Phi^-1 of every entry of u in (0, 1), computed in place over u.
+
+    z = ndtri(min(u, 1 - u)) is the lower-tail quantile, z <= 0, and
+    copysign(z, u - 1/2) negates it exactly where u > 1/2.  This has the
+    bits of ``where(u > .5, -ndtri(1 - u), ndtri(u))``: for u >= 1/2,
+    1 - u is exact (Sterbenz) and at most u; for u < 1/2, 1 - u > 1/2 > u;
+    at u = 1/2 both give +0.0.  The caller must own u.
+    """
+    z = np.subtract(1.0, u)
+    np.minimum(u, z, out=z)
+    ndtri(z, out=z)
+    u -= 0.5
+    return np.copysign(z, u, out=u)
+
+
 def inverse_normal_cdf(u):
     """Quantile z with Phi(z) = u, |Phi(z) - u| <= 1e-9 on (0, 1).
 
-    Arguments above 1/2 are reflected through the exact identity 1 - u
-    (Sterbenz) before ``scipy.special.ndtri``, so odd symmetry is exact
-    whenever both u and 1 - u are representable.  Raises DomainError
-    outside (0, 1); callers that may hit the endpoints must pre-clamp (see
-    ``gaussian_rows``).
+    ``scipy.special.ndtri`` of min(u, 1 - u), whose sign is then set from
+    u - 1/2 (``_reflected_ndtri``), so odd symmetry is exact whenever both
+    u and 1 - u are representable, and the bits equal those of reflecting
+    u > 1/2 through 1 - u and negating.  Raises DomainError outside
+    (0, 1); callers that may hit the endpoints must pre-clamp (see
+    ``clamped_normal``).
     """
-    arr = np.asarray(u, dtype=np.float64)
+    arr = np.array(u, dtype=np.float64)  # a copy: the kernel works in place
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr)
     if flat.size and (not np.all(flat > 0.0) or not np.all(flat < 1.0)):
         raise DomainError("inverse_normal_cdf requires 0 < u < 1")
-    upper = flat > 0.5
-    z = ndtri(np.where(upper, 1.0 - flat, flat))
-    out = np.where(upper, -z, z).reshape(arr.shape)
+    out = _reflected_ndtri(flat).reshape(arr.shape)
     return float(out) if scalar else out
 
 
@@ -172,15 +187,19 @@ def gaussian_rows(matrix: DriveMatrix, lo: int = 0, hi: int | None = None) -> Ga
 
     Rotated uniforms can land exactly on 0, so inputs are clamped to
     [2**-53, 1 - 2**-53], bounding |xi| by about 8.2 with negligible bias.
+    ``rows`` returns a fresh rotated array, never the shared period, so the
+    clamp and ``_reflected_ndtri`` run in place on it: about one ``ndtri``
+    per normal, with the bits of the clip-reflect-negate formula.
     """
-    u = np.clip(matrix.rows(lo, hi), _UNIT_LO, _UNIT_HI)
-    return GaussianDrive(xi=inverse_normal_cdf(u))
+    u = matrix.rows(lo, hi)
+    return GaussianDrive(xi=_reflected_ndtri(np.clip(u, _UNIT_LO, _UNIT_HI, out=u)))
 
 
 def clamped_normal(u: np.ndarray) -> np.ndarray:
     """Inverse-CDF normals from uniforms in [0, 1), with endpoint clamping.
 
     The same transform ``gaussian_rows`` applies, exposed for the baseline
-    pseudo-random drive so both drives differ only in their uniforms.
+    pseudo-random drive so both drives differ only in their uniforms: the
+    clamp copies u, and ``_reflected_ndtri`` overwrites that copy.
     """
-    return inverse_normal_cdf(np.clip(u, _UNIT_LO, _UNIT_HI))
+    return _reflected_ndtri(np.clip(u, _UNIT_LO, _UNIT_HI))

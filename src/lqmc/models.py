@@ -472,10 +472,11 @@ def reference_ground_truth(
     done = 0
     while done < n_steps:
         b = min(chunk, n_steps - done)
-        xi = clamped_normal(rng.uniform(b * s * d)).reshape(b, s, d)
+        noise = clamped_normal(rng.uniform(b * s * d)).reshape(b, s, d)
+        noise *= sq2h
         block = np.empty((b, s, d))
         for k in range(b):
-            theta = theta - h * potential.grad_batch(theta) + sq2h * xi[k]
+            theta = theta - h * potential.grad_batch(theta) + noise[k]
             block[k] = theta
         if not np.all(np.abs(theta) < 1e8):
             raise DivergenceError(done + b, "reference chain diverged")

@@ -267,11 +267,12 @@ def run_chain(potential, config, observe=None) -> ChainRun | None:
                                        counter=(cfg.schedule_start - 1) * (size or 0))
                 left[i] = cfg.n_steps
         b = min(_BLOCK, *left)
-        xi = np.stack([take(b) for take in sources], axis=1)
+        noise = np.stack([take(b) for take in sources], axis=1)  # xi of the block
+        noise *= sq2h[k:k + b, None, None]
         block = np.empty((b,) + theta.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
             for j in range(b):
-                theta = block[j] = theta - hs[k + j] * grad_of(theta) + sq2h[k + j] * xi[j]
+                theta = block[j] = theta - hs[k + j] * grad_of(theta) + noise[j]
         ok = np.einsum("jid,jid->ji", block, block) <= _NORM_CAP_SQ  # False for NaN too
         if not ok.all():
             j, row = np.unravel_index(np.argmin(ok), ok.shape)  # first step, then first row

@@ -187,7 +187,7 @@ class TestRunComparison:
     def test_counts_record_the_work_of_the_run(self):
         # 2 methods x 3 replicates per cell; every chain is burn-in (7)
         # plus the main period (15 at m=4, 31 at m=5), one minibatch
-        # gradient of 4 indices per step.
+        # gradient of 4 indices and d = 2 normals per step.
         spec = ExperimentSpec(
             model="logistic", m_values=(4, 5), n_obs=12, dim=2, replicates=3,
             minibatch=4, burn_in_m=3, schedules=(ScheduleSpec(kind="constant", h=0.01),),
@@ -195,9 +195,10 @@ class TestRunComparison:
         steps = 2 * 3 * ((7 + 15) + (7 + 31))
         assert run_comparison(spec, truth=_flat_truth(2)).metadata["counts"] == {
             "chain_steps": steps, "exact_gradients": 0, "minibatch_gradients": steps,
-            "minibatch_indices": 4 * steps, "cud_values": 7 + 15 + 31}
+            "minibatch_indices": 4 * steps, "normals": 2 * steps, "cud_values": 7 + 15 + 31}
         exact = run_comparison(_tiny_spec(m_values=(3,))).metadata["counts"]
         assert exact["exact_gradients"] == exact["chain_steps"] == 2 * 3 * 7
+        assert exact["normals"] == 3 * exact["chain_steps"]  # d = 3
         assert exact["minibatch_gradients"] == exact["minibatch_indices"] == 0
 
     def test_csv_layout(self):

@@ -230,3 +230,49 @@ class TestGaussianRows:
         m = build_drive_matrix(seq, 1, shift=np.zeros(1))
         with pytest.raises(AttributeError):
             m.d = 2
+
+
+def _old_formula(u):
+    """The clip-free reflect-and-negate formula the drive used to apply."""
+    return np.where(u > 0.5, -ndtri(1.0 - u), ndtri(u))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestReflectedKernelBits:
+    """min/copysign reflection: the same bits as where(u > .5, -ndtri(1 - u), ndtri(u))."""
+
+    @staticmethod
+    def _uniforms():
+        grid = np.arange(1, 2**14) / 2.0**14
+        edges = np.array([2.0**-53, 1.0 - 2.0**-53, 0.5,
+                          np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)])
+        prng = np.clip(BaselinePrng(11).uniform(10**5), 2.0**-53, 1.0 - 2.0**-53)
+        return np.concatenate([grid, edges, prng])
+
+    def test_inverse_normal_cdf(self):
+        u = self._uniforms()
+        before = u.copy()
+        assert np.array_equal(_bits(inverse_normal_cdf(u)), _bits(_old_formula(u)))
+        assert np.array_equal(u, before)  # the argument is not overwritten
+        assert _bits(inverse_normal_cdf(0.5)) == _bits(0.0)  # +0.0, not -0.0
+
+    def test_clamped_normal(self):
+        u = np.concatenate([[0.0, 0.5], self._uniforms()])
+        before = u.copy()
+        expect = _old_formula(np.clip(u, 2.0**-53, 1.0 - 2.0**-53))
+        assert np.array_equal(_bits(clamped_normal(u)), _bits(expect))
+        assert np.array_equal(u, before)
+        assert _bits(clamped_normal(np.array([0.5]))[0]) == _bits(0.0)
+
+    @pytest.mark.parametrize("rng", [BaselinePrng(4), None], ids=["shifted", "unshifted"])
+    def test_gaussian_rows_on_an_m10_matrix(self, rng):
+        seq = generate_cud(builtin_config(10))  # unshifted, 512/1024 = 0.5 is a value
+        period = seq.values.copy()
+        m = build_drive_matrix(seq, 7, rng=rng)
+        expect = _old_formula(np.clip(m.rows(), 2.0**-53, 1.0 - 2.0**-53))
+        assert np.array_equal(_bits(gaussian_rows(m).xi), _bits(expect))
+        assert np.array_equal(_bits(gaussian_rows(m, 100, 600).xi), _bits(expect[100:600]))
+        assert np.array_equal(seq.values, period)  # the shared period is never written

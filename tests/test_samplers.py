@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lqmc import samplers
 from lqmc.cud_core import builtin_config, generate_cud
-from lqmc.drive import GaussianDrive, build_drive_matrix, clamped_normal
+from lqmc.drive import GaussianDrive, build_drive_matrix, clamped_normal, gaussian_rows
 from lqmc.errors import ConfigurationError, DivergenceError, DomainError
 from lqmc.models import (linear_regression_potential, logistic_potential,
                          standard_gaussian_potential, synthesize_data)
 from lqmc.prng import BaselinePrng
-from lqmc.samplers import (ChainConfig, ConstantSchedule, PolynomialSchedule,
+from lqmc.samplers import (ChainBatch, ChainConfig, ConstantSchedule, PolynomialSchedule,
                            PseudoRandomDrive, ContractionInfo, continue_chain,
                            contraction_info, coupling_diagnostic, run_chain,
                            solve_polynomial_schedule)
@@ -29,6 +30,27 @@ class TestLmcStep:
         theta = np.array([1.0, 2.0])
         manual = theta - 0.05 * pot.grad(theta) + np.sqrt(2.0 * 0.05) * xi[0]
         assert np.array_equal(run.trajectory[0], manual)
+        # three chains, one per drive kind, over more steps than one xi block
+        # holds (_BLOCK = 256) on a decreasing schedule: the loop's per-block
+        # noise equals sqrt(2 h_k) xi_k formed step by step, bit for bit
+        d, n = 3, 600
+        assert n > samplers._BLOCK
+        schedule = PolynomialSchedule(c0=0.2, c1=3.0)
+        matrix = build_drive_matrix(generate_cud(builtin_config(10)), d, rng=BaselinePrng(2))
+        drives = (GaussianDrive(xi=clamped_normal(BaselinePrng(9).uniform(n * d)).reshape(n, d)),
+                  matrix, PseudoRandomDrive(5, stream=3))
+        xis = np.stack([drives[0].xi, gaussian_rows(matrix).xi[:n],
+                        clamped_normal(BaselinePrng(5, 3).uniform(n * d)).reshape(n, d)], axis=1)
+        theta0 = np.array([[0.5, -1.0, 2.0], [0.0, 0.0, 0.0], [-3.0, 1.0, 0.25]])
+        chains = tuple((ChainConfig(t0, n, schedule, drv),) for t0, drv in zip(theta0, drives))
+        pot3, blocks = standard_gaussian_potential(d), []
+        run_chain(pot3, ChainBatch(chains, ("gauss", "matrix", "prng")), blocks.append)
+        assert [len(blk) for blk in blocks] == [256, 256, 88]
+        hs, theta, manual = schedule.step_sizes(n), theta0, []
+        for k in range(n):
+            theta = theta - hs[k] * pot3.grad_batch(theta) + np.sqrt(2.0 * hs[k]) * xis[k]
+            manual.append(theta)
+        assert np.array_equal(np.concatenate(blocks), np.array(manual))
 
 
 class TestSchedules:

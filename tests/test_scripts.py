@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -32,6 +33,18 @@ def test_run_desk_suite_double_well(tmp_path):
     for suffix in (".csv", ".replicates.csv", ".meta.yaml"):
         assert (tmp_path / f"double_well_desk{suffix}").stat().st_size > 0
     assert "ratio=" in proc.stdout
+    cache = tmp_path / "double_well_desk.truth.json"
+    err = proc.stderr.splitlines()
+    assert err[0] == "truth: computing double_well quadrature"
+    assert re.fullmatch(rf"truth: done in \d+\.\d s, saved to {re.escape(str(cache))}",
+                        err[1])
+    again = _run_script("run_desk_suite.py", "--only", "double_well", "--results",
+                        str(tmp_path))
+    assert again.returncode == 0, again.stderr
+    assert again.stderr == f"truth: loaded from cache {cache}\n"
+    ratios = [[line for line in p.stdout.splitlines() if "ratio=" in line]
+              for p in (proc, again)]
+    assert ratios[0] == ratios[1]  # the cached truth gives the same report
 
 
 def _perfbench_result(root, workload, seed, wall, failed=0):
