@@ -12,8 +12,9 @@ their median; per workload it holds, over the seeds both sides ran, how
 many pairs the change won on each metric and the median change/parent
 ratio.  Each side records its git commit (``-dirty`` when ``src/`` has
 uncommitted edits) and a sha256 of its ``src/`` files, which names the
-measured code even when it was not committed.  Machine facts come from the
-change's first run.
+measured code even when it was not committed; a side outside any git
+checkout records ``commit: null`` and gets a warning on stderr.  Machine
+facts come from the change's first run.
 """
 
 from __future__ import annotations
@@ -118,6 +119,10 @@ def main(argv=None) -> int:
         "change": side(change, change_runs),
         "pairs": pairs(parent_runs, change_runs),
     }
+    for label, root in (("parent", parent), ("change", change)):
+        if record[label]["commit"] is None:
+            print(f"warning: the {label} checkout {root} has no git commit; only "
+                  f"its src_sha256 names the measured code", file=sys.stderr)
     out = pathlib.Path(args.out_dir) / f"BENCH_{args.topic}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     for name, p in record["pairs"].items():

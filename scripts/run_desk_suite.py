@@ -36,7 +36,7 @@ def main() -> int:
               f"R={spec.replicates}", flush=True)
         t0 = time.time()
         truth = bench.cached_ground_truth(spec, outdir / f"{name}.truth.json")
-        report = bench.run_comparison(spec, truth=truth, collect_replicates=True)
+        report = bench.run_comparison(spec, truth=truth)
         out = outdir / f"{name}.csv"
         out.write_text(report.to_csv())
         (outdir / f"{name}.replicates.csv").write_text(report.replicate_csv())

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .models import (GroundTruth, closed_form_posterior,
                      reference_ground_truth, save_ground_truth,
                      synthesize_data)
 from .prng import BaselinePrng
-from .samplers import (ChainBatch, ChainConfig, ChainRun, ConstantSchedule,
-                       PseudoRandomDrive, contraction_info, run_chain)
+from .samplers import (ChainBatch, ChainConfig, ConstantSchedule, PseudoRandomDrive,
+                       continue_chain, contraction_info, run_chain)
 
 # Stream-id roles, combined as ((sched_idx * 8 + role) << 40) | (m << 20) | r;
 # the spec loader keeps r below experiment.MAX_REPLICATES = 2**20.
@@ -164,59 +164,59 @@ def cached_ground_truth(spec: ExperimentSpec, cache) -> GroundTruth:
 
 
 def _cell_chains(spec, d, schedule, burn_seq, main_seq, n_run, sched_idx, m):
-    """Segments of the chains of one (m, schedule) cell, keyed (method, r),
-    LMC first; each chain draws minibatch indices from one stream of its own."""
-    burn_n = 0 if burn_seq is None else burn_seq.n
-
-    def segment(n, drive, role, r, start=1):
-        return ChainConfig(
-            theta0=np.zeros(d), n_steps=n, schedule=schedule, drive=drive,
-            minibatch=spec.minibatch, minibatch_seed=spec.seed,
-            minibatch_stream=_stream(sched_idx, role, m, r), schedule_start=start,
-        )
-
+    """Burn-in chains (None without a burn-in) and main chains of one
+    (m, schedule) cell, keyed (method, r), LMC first.  Each chain draws
+    minibatch indices from one stream of its own, and an LMC chain reads
+    the same noise drive in both phases; the main chains start at iteration
+    1 + burn-in length, from zeros until the burn-in has run."""
     reps = range(spec.replicates)
     noise = [PseudoRandomDrive(spec.seed, _stream(sched_idx, _ROLE_NOISE, m, r)) for r in reps]
-    chains = {("lmc", r): (segment(burn_n + n_run, noise[r], _ROLE_MINIBATCH_LMC, r),)
-              for r in reps}
-    for r in reps:
-        rng = BaselinePrng(spec.seed, _stream(sched_idx, _ROLE_SHIFT, m, r))
-        burn = () if burn_seq is None else (segment(
-            burn_n, build_drive_matrix(burn_seq, d, rng=rng), _ROLE_MINIBATCH_LQMC, r),)
-        chains["lqmc", r] = burn + (segment(n_run, build_drive_matrix(main_seq, d, rng=rng),
-                                            _ROLE_MINIBATCH_LQMC, r, start=1 + burn_n),)
-    return chains
+    shift_rngs = [BaselinePrng(spec.seed, _stream(sched_idx, _ROLE_SHIFT, m, r)) for r in reps]
+
+    def chains(seq, n, start):
+        def chain(drive, role, r):
+            return ChainConfig(
+                theta0=np.zeros(d), n_steps=n, schedule=schedule, drive=drive,
+                minibatch=spec.minibatch, minibatch_seed=spec.seed,
+                minibatch_stream=_stream(sched_idx, role, m, r), schedule_start=start,
+            )
+
+        out = {("lmc", r): chain(noise[r], _ROLE_MINIBATCH_LMC, r) for r in reps}
+        for r in reps:
+            out["lqmc", r] = chain(build_drive_matrix(seq, d, rng=shift_rngs[r]),
+                                   _ROLE_MINIBATCH_LQMC, r)
+        return out
+
+    if burn_seq is None:
+        return None, chains(main_seq, n_run, 1)
+    return chains(burn_seq, burn_seq.n, 1), chains(main_seq, n_run, 1 + burn_seq.n)
 
 
-def _cell_means(potential, batch: ChainBatch, discard: int) -> dict[str, np.ndarray]:
+def _cell_means(potential, batch: ChainBatch) -> dict[str, np.ndarray]:
     """Per-chain averages of theta, theta**2 and 1{theta > 0} (one (chains, d)
-    array per test-function kind) over the steps after ``discard``."""
+    array per test-function kind) over the batch's steps."""
     sums = np.zeros((3, len(batch.chains), potential.dim))
-    done = 0
 
     def observe(block):
-        nonlocal done
-        tail = block[max(0, discard - done):]
-        done += len(block)
-        sums[0] += tail.sum(axis=0)
-        sums[1] += (tail**2).sum(axis=0)
-        sums[2] += (tail > 0).sum(axis=0)
+        sums[0] += block.sum(axis=0)
+        sums[1] += (block**2).sum(axis=0)
+        sums[2] += (block > 0).sum(axis=0)
 
     run_chain(potential, batch, observe)
-    return dict(zip(TEST_FUNCTIONS, sums / (done - discard)))
+    return dict(zip(TEST_FUNCTIONS, sums / batch.chains[0].n_steps))
 
 
-def _dump(potential, chain, path) -> None:
-    """Re-run one chain alone through ``run_chain`` and write its trajectory."""
-    blocks: list = []
-    run_chain(potential, ChainBatch((chain,), ("chain",)), blocks.append)
-    ChainRun(np.concatenate(blocks)[:, 0], chain[0], potential, ()).save_trajectory(path)
+def _dump(potential, burn, main, path) -> None:
+    """Re-run one chain alone, burn-in first, and write its whole trajectory."""
+    run = run_chain(potential, burn or main)
+    if burn is not None:
+        run = continue_chain(run, main.drive, main.n_steps)
+    run.save_trajectory(path)
 
 
 def run_comparison(
     spec: ExperimentSpec,
     truth: GroundTruth | None = None,
-    collect_replicates: bool = False,
     trajectory_dir: str | None = None,
 ) -> MseReport:
     """Execute the full comparison described by ``spec``.
@@ -279,16 +279,22 @@ def run_comparison(
                     "gcd_d_ell_n": info.gcd_d_ell_n,
                 }
 
-            cell = _cell_chains(spec, d, schedule, burn_seq, main_seq, n_run,
-                                sched_idx, m)
+            burn, main = _cell_chains(spec, d, schedule, burn_seq, main_seq, n_run,
+                                      sched_idx, m)
             names = tuple(f"{spec.model} {method} m={m} schedule={sspec.label} replicate {r}"
-                          for method, r in cell)
-            batch = ChainBatch(tuple(cell.values()), names)
-            means = _cell_means(potential, batch, burn_n)
+                          for method, r in main)
+            if burn is not None:
+                burn_batch = ChainBatch(tuple(burn.values()), names)
+                final = run_chain(potential, burn_batch)
+                main = {key: replace(cfg, theta0=theta)
+                        for (key, cfg), theta in zip(main.items(), final)}
+                steps += burn_batch.n_steps
+            batch = ChainBatch(tuple(main.values()), names)
+            means = _cell_means(potential, batch)
             steps += batch.n_steps
             if trajectory_dir is not None:
-                for (method, r), chain in cell.items():
-                    _dump(potential, chain,
+                for (method, r), cfg in main.items():
+                    _dump(potential, burn and burn[method, r], cfg,
                           f"{trajectory_dir}/{method}_m{m}_{sspec.label}_r{r}.csv")
 
             reps = spec.replicates
@@ -304,11 +310,10 @@ def run_comparison(
                         stderr=float(errs.std(ddof=1) / math.sqrt(len(errs))),
                         replicates=reps,
                     ))
-                    if collect_replicates:
-                        replicate_rows.extend(
-                            (spec.model, method, m, sspec.label, kind, r, float(e))
-                            for r, e in enumerate(errs)
-                        )
+                    replicate_rows.extend(
+                        (spec.model, method, m, sspec.label, kind, r, float(e))
+                        for r, e in enumerate(errs)
+                    )
 
     metadata = {
         "model": spec.model,

@@ -190,11 +190,7 @@ def _cmd_run(args) -> int:
     truth = bench.cached_ground_truth(spec, args.truth_cache)
     if args.dump_trajectories is not None:
         os.makedirs(args.dump_trajectories, exist_ok=True)
-    report = bench.run_comparison(
-        spec, truth=truth,
-        collect_replicates=args.per_replicate is not None,
-        trajectory_dir=args.dump_trajectories,
-    )
+    report = bench.run_comparison(spec, truth=truth, trajectory_dir=args.dump_trajectories)
     output = args.output or spec.output
     if output is None:
         sys.stdout.write(report.to_csv())

@@ -111,14 +111,15 @@ class PseudoRandomDrive:
 Drive = Union[PseudoRandomDrive, DriveMatrix, GaussianDrive]
 
 
-def _xi_source(drive: Drive, n: int, d: int):
+def _xi_source(drive: Drive, n: int, d: int, start: int):
     """``take(b)``: the next b rows of xi, the same rows whatever the b.
 
-    A pseudo-random drive normalizes the next b*d uniforms of its stream, a
-    drive matrix maps its next b rows through ``gaussian_rows``.
+    A pseudo-random drive normalizes the next b*d uniforms of its stream,
+    which starts at the draws of iteration ``start``; a drive matrix maps
+    its next b rows, from row 0, through ``gaussian_rows``.
     """
     if isinstance(drive, PseudoRandomDrive):
-        rng = BaselinePrng(drive.seed, drive.stream)
+        rng = BaselinePrng(drive.seed, drive.stream, counter=(start - 1) * d)
         return lambda b: clamped_normal(rng.uniform(b * d)).reshape(b, d)
     if not isinstance(drive, (DriveMatrix, GaussianDrive)):
         raise ConfigurationError(f"unknown drive kind {type(drive).__name__}")
@@ -150,7 +151,7 @@ class ChainConfig:
     minibatch: int | None = None
     minibatch_seed: int = 0
     minibatch_stream: int = 0
-    schedule_start: int = 1  # iteration index of the first step (continuations)
+    schedule_start: int = 1  # iteration of the first step; baseline streams start there
 
     def __post_init__(self):
         theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=np.float64))
@@ -190,48 +191,53 @@ class ChainRun:
 
 @dataclass(frozen=True)
 class ChainBatch:
-    """Chains stepped side by side, each a tuple of consecutive ``ChainConfig``
-    segments started from the first one's ``theta0``.  The chains share d,
-    schedule, first iteration, total length and minibatch size, but not
-    segment boundaries; ``names`` label them in divergence messages."""
+    """Chains stepped side by side, one ``ChainConfig`` each, with its own
+    theta0, drive and minibatch stream.  They must share d, ``n_steps``,
+    schedule, minibatch size and ``schedule_start``; ``names`` label them in
+    divergence messages."""
 
-    chains: tuple[tuple[ChainConfig, ...], ...]
+    chains: tuple[ChainConfig, ...]
     names: tuple[str, ...]
 
     def __post_init__(self):
-        if (len({sum(c.n_steps for c in chain) for chain in self.chains}) != 1
-                or len(self.names) != len(self.chains)):
-            raise ConfigurationError("a batch needs named chains of one total length")
+        if not self.chains or len(self.names) != len(self.chains):
+            raise ConfigurationError("a batch needs a chain, and one name per chain")
+        shared = {(c.dim, c.n_steps, c.schedule, c.minibatch, c.schedule_start)
+                  for c in self.chains}
+        if len(shared) != 1:
+            raise ConfigurationError("the chains of a batch must share d, n_steps, "
+                                     "schedule, minibatch and schedule_start")
 
     @property
     def n_steps(self) -> int:
         """Langevin updates over all chains: B times the chain length."""
-        return sum(c.n_steps for chain in self.chains for c in chain)
+        return sum(c.n_steps for c in self.chains)
 
 
-def run_chain(potential, config, observe=None) -> ChainRun | None:
+def run_chain(potential, config, observe=None) -> ChainRun | np.ndarray:
     """Run one chain, or a ``ChainBatch`` side by side as one (B, d) state.
 
     A ``ChainConfig`` returns its ``ChainRun``.  A ``ChainBatch`` keeps no
-    trajectory: ``observe`` receives each (b, B, d) block of states as it
-    is made, and the call returns None.  Gradients are exact (``grad`` for
-    a lone chain, ``grad_batch`` for several) or one minibatch ``sgrad``
-    per row.  Each segment reads xi from its own drive, in blocks of at
-    most ``_BLOCK`` steps, and minibatch indices from its stream starting
-    at the draws of iteration ``schedule_start``, so a segment that
-    continues a chain on the same stream carries that stream on.  A row
-    leaving ||theta|| <= 1e8 raises DivergenceError naming it.
+    trajectory: ``observe``, unless None, receives each (b, B, d) block of
+    states as it is made, and the call returns the final (B, d) state.
+    Gradients are exact (``grad`` for a lone chain, ``grad_batch`` for
+    several) or one minibatch ``sgrad`` per row.  Each row reads xi from its
+    own drive in blocks of at most ``_BLOCK`` steps.  Every baseline stream
+    a row reads (a ``PseudoRandomDrive``, the minibatch indices) starts at
+    the draws of iteration ``schedule_start``, so a chain continued on the
+    same streams carries them on.  A row leaving ||theta|| <= 1e8 raises
+    DivergenceError naming it.
     """
-    batch = config if isinstance(config, ChainBatch) else ChainBatch(((config,),), ("chain",))
+    batch = config if isinstance(config, ChainBatch) else ChainBatch((config,), ("chain",))
     blocks: list = []
     if batch is not config:
         observe = blocks.append
-    head, rows = batch.chains[0][0], len(batch.chains)
-    d, size, start = head.dim, head.minibatch, head.schedule_start
+    head = batch.chains[0]
+    d, n, size, start = head.dim, head.n_steps, head.minibatch, head.schedule_start
     if potential.dim != d:
         raise ConfigurationError(
             f"potential dimension {potential.dim} != initial point dimension {d}")
-    sources, rngs = [None] * rows, [None] * rows
+    sources = [_xi_source(c.drive, n, d, start) for c in batch.chains]
     if size is not None:
         n_data = potential.num_data
         if potential.sgrad is None:
@@ -239,11 +245,13 @@ def run_chain(potential, config, observe=None) -> ChainRun | None:
                 f"potential {potential.name!r} does not support stochastic gradients")
         if n_data is None or size > n_data:
             raise ConfigurationError("minibatch size exceeds the dataset")
+        rngs = [BaselinePrng(c.minibatch_seed, c.minibatch_stream, counter=(start - 1) * size)
+                for c in batch.chains]
 
         def grad_of(theta):
             return np.array([potential.sgrad(x, rng.index_subset(n_data, size))
                              for x, rng in zip(theta, rngs)])
-    elif rows == 1:  # grad on a vector costs less than grad_batch on a (1, d) stack
+    elif len(batch.chains) == 1:  # grad on a vector costs less than grad_batch on a (1, d) stack
 
         def grad_of(theta):
             return potential.grad(theta[0])[None]
@@ -251,22 +259,11 @@ def run_chain(potential, config, observe=None) -> ChainRun | None:
         raise ConfigurationError(f"potential {potential.name!r} has no batched gradient")
     else:
         grad_of = potential.grad_batch
-    n = batch.n_steps // rows
     hs = head.schedule.step_sizes(n, start=start)
     sq2h = np.sqrt(2.0 * hs)
-    theta = np.stack([chain[0].theta0 for chain in batch.chains])
-    pending = [list(chain) for chain in batch.chains]
-    left = [0] * rows  # steps left in each row's current segment
-    k = 0
-    while k < n:
-        for i, segs in enumerate(pending):
-            while left[i] == 0:
-                cfg = segs.pop(0)
-                sources[i] = _xi_source(cfg.drive, cfg.n_steps, d)
-                rngs[i] = BaselinePrng(cfg.minibatch_seed, cfg.minibatch_stream,
-                                       counter=(cfg.schedule_start - 1) * (size or 0))
-                left[i] = cfg.n_steps
-        b = min(_BLOCK, *left)
+    theta = np.stack([c.theta0 for c in batch.chains])
+    for k in range(0, n, _BLOCK):
+        b = min(_BLOCK, n - k)
         noise = np.stack([take(b) for take in sources], axis=1)  # xi of the block
         noise *= sq2h[k:k + b, None, None]
         block = np.empty((b,) + theta.shape)
@@ -278,11 +275,10 @@ def run_chain(potential, config, observe=None) -> ChainRun | None:
             j, row = np.unravel_index(np.argmin(ok), ok.shape)  # first step, then first row
             raise DivergenceError(start + k + j, f"{batch.names[row]} diverged at "
                                                  f"iteration {start + k + j}")
-        left = [c - b for c in left]
-        k += b
-        observe(block)
+        if observe is not None:
+            observe(block)
     if batch is config:
-        return None
+        return theta
     traj = np.concatenate([np.empty((0, 1, d)), *blocks])[:, 0]
     return ChainRun(traj, config, potential, segments=(config.n_steps,))
 
@@ -292,8 +288,9 @@ def continue_chain(run: ChainRun, next_drive: Drive, extra_n: int) -> ChainRun:
 
     Supports the burn-in idiom: a small-period run first, then a longer
     drive appended.  The step-size index keeps counting, so decreasing
-    schedules keep decreasing across segments, and minibatch indices carry
-    on along the run's stream.  ``extra_n = 0`` returns the run unchanged.
+    schedules keep decreasing, and the baseline streams (minibatch indices,
+    a ``PseudoRandomDrive`` passed again) carry on where the run left them.
+    ``extra_n = 0`` returns the run unchanged.
     """
     if extra_n == 0:
         return run
@@ -344,7 +341,7 @@ def coupling_diagnostic(
             stacklevel=2,
         )
     dist = [np.linalg.norm(a.theta0 - b.theta0)]
-    run_chain(potential, ChainBatch(((a,), (b,)), ("theta", "theta'")),
+    run_chain(potential, ChainBatch((a, b), ("theta", "theta'")),
               lambda block: dist.extend(np.linalg.norm(block[:, 0] - block[:, 1], axis=1)))
     return np.array(dist)
 

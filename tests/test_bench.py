@@ -135,8 +135,7 @@ class TestRunComparison:
         # Each dump re-runs one chain alone; its errors must match the ones
         # the batched cell reduced online.
         truth = _flat_truth(spec.dim) if spec.model == "logistic" else None
-        report = run_comparison(spec, truth=truth, collect_replicates=True,
-                                trajectory_dir=str(tmp_path))
+        report = run_comparison(spec, truth=truth, trajectory_dir=str(tmp_path))
         if truth is None:
             truth = bench.ground_truth_for(spec, bench.build_model(spec)[0])
         burn = report.metadata["burn_in_n"]
@@ -149,7 +148,7 @@ class TestRunComparison:
             assert redone == pytest.approx(sq_err, rel=1e-10, abs=0), (method, m, fn, r)
 
     def test_mse_rederivable_from_replicate_dump(self):
-        report = run_comparison(_tiny_spec(), collect_replicates=True)
+        report = run_comparison(_tiny_spec())
         for row in report.rows:
             errs = [
                 v for (_, method, m, sched, fn, _, v) in report.replicate_rows

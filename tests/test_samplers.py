@@ -42,15 +42,36 @@ class TestLmcStep:
         xis = np.stack([drives[0].xi, gaussian_rows(matrix).xi[:n],
                         clamped_normal(BaselinePrng(5, 3).uniform(n * d)).reshape(n, d)], axis=1)
         theta0 = np.array([[0.5, -1.0, 2.0], [0.0, 0.0, 0.0], [-3.0, 1.0, 0.25]])
-        chains = tuple((ChainConfig(t0, n, schedule, drv),) for t0, drv in zip(theta0, drives))
+        chains = tuple(ChainConfig(t0, n, schedule, drv) for t0, drv in zip(theta0, drives))
         pot3, blocks = standard_gaussian_potential(d), []
-        run_chain(pot3, ChainBatch(chains, ("gauss", "matrix", "prng")), blocks.append)
+        final = run_chain(pot3, ChainBatch(chains, ("gauss", "matrix", "prng")), blocks.append)
         assert [len(blk) for blk in blocks] == [256, 256, 88]
         hs, theta, manual = schedule.step_sizes(n), theta0, []
         for k in range(n):
             theta = theta - hs[k] * pot3.grad_batch(theta) + np.sqrt(2.0 * hs[k]) * xis[k]
             manual.append(theta)
         assert np.array_equal(np.concatenate(blocks), np.array(manual))
+        assert np.array_equal(final, manual[-1])  # a batch returns its final states
+
+
+class TestChainBatch:
+    BASE = ChainConfig(np.zeros(2), 10, ConstantSchedule(0.01), PseudoRandomDrive(0),
+                       minibatch=2)
+
+    @pytest.mark.parametrize("change", [
+        dict(theta0=np.zeros(3)), dict(n_steps=11), dict(schedule=ConstantSchedule(0.02)),
+        dict(minibatch=3), dict(minibatch=None), dict(schedule_start=2),
+    ], ids=["d", "n_steps", "schedule", "minibatch", "no-minibatch", "schedule_start"])
+    def test_chains_must_share_the_loop_fields(self, change):
+        other = replace(self.BASE, **change)
+        with pytest.raises(ConfigurationError, match="must share"):
+            ChainBatch((self.BASE, other), ("a", "b"))
+
+    def test_one_name_per_chain(self):
+        with pytest.raises(ConfigurationError):
+            ChainBatch((self.BASE,), ("a", "b"))
+        with pytest.raises(ConfigurationError):
+            ChainBatch((), ())
 
 
 class TestSchedules:
@@ -238,6 +259,17 @@ class TestContinueChain:
         whole = run_chain(pot, cfg)
         head = run_chain(pot, replace(cfg, n_steps=20))
         split = continue_chain(head, GaussianDrive(xi[20:]), 30)
+        assert np.array_equal(split.trajectory, whole.trajectory)
+
+    def test_pseudo_random_continuation_matches_one_run(self):
+        # A continuation over the same pseudo-random drive carries its noise
+        # on instead of replaying the head's draws.
+        pot = standard_gaussian_potential(2)
+        cfg = ChainConfig(np.zeros(2), 50, PolynomialSchedule(0.05, 3.0),
+                          PseudoRandomDrive(6, stream=2))
+        whole = run_chain(pot, cfg)
+        head = run_chain(pot, replace(cfg, n_steps=20))
+        split = continue_chain(head, cfg.drive, 30)
         assert np.array_equal(split.trajectory, whole.trajectory)
 
     def test_dimension_mismatch(self):

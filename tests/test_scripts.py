@@ -85,3 +85,22 @@ def test_bench_record(tmp_path):
                        "--change", str(change), "--topic", "demo",
                        "--out-dir", str(tmp_path))
     assert proc.returncode == 2
+
+
+def test_bench_record_warns_about_a_side_without_commit(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        (root / "src").mkdir(parents=True)
+        (root / "src" / "a.py").write_text(f"# {root.name}\n")
+        _perfbench_result(root, "gen", 0, 2.0)
+    git = ["git", "-C", str(change), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "src"], ["commit", "-q", "-m", "src"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    proc = _run_script("bench_record.py", "--parent", str(parent), "--change", str(change),
+                       "--topic", "demo", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tmp_path / "BENCH_demo.json").read_text())
+    assert record["parent"]["commit"] is None
+    assert re.fullmatch(r"[0-9a-f]{40}", record["change"]["commit"])
+    assert proc.stderr == (f"warning: the parent checkout {parent} has no git commit; "
+                           "only its src_sha256 names the measured code\n")
