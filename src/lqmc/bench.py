@@ -17,12 +17,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .cud_core import (DEFAULT_OFFSET, Gf2Poly, LfsrConfig, PointSet,
-                       builtin_config, factorize, generate_cud)
+from .cud_core import PointSet, builtin_config, factorize, generate_cud
 from .drive import build_drive_matrix, coprime_width
 from .errors import ConfigurationError, DomainError
 from .experiment import DEFAULT_TRUTH, TEST_FUNCTIONS, ExperimentSpec, TruthSpec
@@ -163,33 +163,23 @@ def cached_ground_truth(spec: ExperimentSpec, cache) -> GroundTruth:
 # ---------------------------------------------------------------------------
 
 
-def _cell_chains(spec, d, schedule, burn_seq, main_seq, n_run, sched_idx, m):
-    """Burn-in chains (None without a burn-in) and main chains of one
-    (m, schedule) cell, keyed (method, r), LMC first.  Each chain draws
-    minibatch indices from one stream of its own, and an LMC chain reads
-    the same noise drive in both phases; the main chains start at iteration
-    1 + burn-in length, from zeros until the burn-in has run."""
-    reps = range(spec.replicates)
-    noise = [PseudoRandomDrive(spec.seed, _stream(sched_idx, _ROLE_NOISE, m, r)) for r in reps]
-    shift_rngs = [BaselinePrng(spec.seed, _stream(sched_idx, _ROLE_SHIFT, m, r)) for r in reps]
-
-    def chains(seq, n, start):
-        def chain(drive, role, r):
-            return ChainConfig(
-                theta0=np.zeros(d), n_steps=n, schedule=schedule, drive=drive,
-                minibatch=spec.minibatch, minibatch_seed=spec.seed,
-                minibatch_stream=_stream(sched_idx, role, m, r), schedule_start=start,
-            )
-
-        out = {("lmc", r): chain(noise[r], _ROLE_MINIBATCH_LMC, r) for r in reps}
-        for r in reps:
-            out["lqmc", r] = chain(build_drive_matrix(seq, d, rng=shift_rngs[r]),
-                                   _ROLE_MINIBATCH_LQMC, r)
-        return out
-
-    if burn_seq is None:
-        return None, chains(main_seq, n_run, 1)
-    return chains(burn_seq, burn_seq.n, 1), chains(main_seq, n_run, 1 + burn_seq.n)
+def _cell_chains(spec, schedule, sched_idx, m, shift_rngs, seq, n, start, theta0):
+    """One phase of an (m, schedule) cell: ``n`` steps from iteration
+    ``start``, row i from ``theta0[i]``.  The LMC chains come first, then the
+    LQMC chains, each reading ``seq`` under a fresh shift from its
+    replicate's generator in ``shift_rngs``.  Each chain draws minibatch
+    indices from one stream of its own, and an LMC chain reads the same
+    noise drive in every phase, so both streams carry on across phases."""
+    reps, d = range(spec.replicates), theta0.shape[1]
+    lmc = [(PseudoRandomDrive(spec.seed, _stream(sched_idx, _ROLE_NOISE, m, r)),
+            _ROLE_MINIBATCH_LMC, r) for r in reps]
+    lqmc = [(build_drive_matrix(seq, d, rng=shift_rngs[r]), _ROLE_MINIBATCH_LQMC, r)
+            for r in reps]
+    return tuple(
+        ChainConfig(theta0=x, n_steps=n, schedule=schedule, drive=drive,
+                    minibatch=spec.minibatch, minibatch_seed=spec.seed,
+                    minibatch_stream=_stream(sched_idx, role, m, r), schedule_start=start)
+        for x, (drive, role, r) in zip(theta0, lmc + lqmc))
 
 
 def _cell_means(potential, batch: ChainBatch) -> dict[str, np.ndarray]:
@@ -206,11 +196,11 @@ def _cell_means(potential, batch: ChainBatch) -> dict[str, np.ndarray]:
     return dict(zip(TEST_FUNCTIONS, sums / batch.chains[0].n_steps))
 
 
-def _dump(potential, burn, main, path) -> None:
-    """Re-run one chain alone, burn-in first, and write its whole trajectory."""
-    run = run_chain(potential, burn or main)
-    if burn is not None:
-        run = continue_chain(run, main.drive, main.n_steps)
+def _dump(potential, phases, path) -> None:
+    """Re-run one chain alone, phase after phase, and write its whole trajectory."""
+    run = run_chain(potential, phases[0])
+    for cfg in phases[1:]:
+        run = continue_chain(run, cfg.drive, cfg.n_steps)
     run.save_trajectory(path)
 
 
@@ -221,28 +211,20 @@ def run_comparison(
 ) -> MseReport:
     """Execute the full comparison described by ``spec``.
 
-    ``truth`` overrides the model's ground-truth oracle (useful when a
-    reference run is cached).  ``trajectory_dir`` dumps every chain's
-    trajectory as CSV, re-running each chain alone (off by default: the
-    files are large and the re-runs cost more than the batched run).
+    Each m runs the generator, chain length and schedules of ``spec.cell(m)``,
+    the very cell the spec loader built to validate the spec.  ``truth``
+    overrides the model's ground-truth oracle (useful when a reference run
+    is cached).  ``trajectory_dir`` dumps every chain's trajectory as CSV,
+    re-running each chain alone (off by default: the files are large and
+    the re-runs cost more than the batched run).
     """
     potential, _ = build_model(spec)
     if truth is None:
         truth = ground_truth_for(spec, potential)
     d = potential.dim
-
-    override = Gf2Poly.from_mask(spec.poly_mask) if spec.poly_mask is not None else None
-    configs = {}
-    for m in spec.m_values:
-        if override is not None and override.degree == m:
-            configs[m] = LfsrConfig(
-                override, DEFAULT_OFFSET if spec.offset is None else spec.offset
-            )
-        else:
-            configs[m] = builtin_config(m, offset=spec.offset)
-
+    reps = spec.replicates
+    keys = [(method, r) for method in ("lmc", "lqmc") for r in range(reps)]  # chain order
     burn_seq = generate_cud(builtin_config(spec.burn_in_m)) if spec.burn_in_m else None
-    burn_n = 0 if burn_seq is None else burn_seq.n
 
     rows: list[ReportRow] = []
     replicate_rows: list[tuple] = []
@@ -250,54 +232,46 @@ def run_comparison(
     meta_schedules: dict = {}
     diag: dict = {}
     steps = 0
-    cud_values = burn_n
+    cud_values = spec.burn_in_n
 
     for m in spec.m_values:
-        n = (1 << m) - 1
-        n_run = spec.n_override if spec.n_override is not None else n
-        main_seq = generate_cud(configs[m])
+        config, n_run, schedules = spec.cell(m)
+        n = config.period
+        main_seq = generate_cud(config)
         cud_values += main_seq.n
         meta_drive[m] = {
             "n": n,
             "n_run": n_run,
-            "poly_mask": hex(configs[m].poly.mask),
-            "offset": configs[m].offset,
+            "poly_mask": hex(config.poly.mask),
+            "offset": config.offset,
             "stored_width": coprime_width(n, d),
         }
-        for sched_idx, sspec in enumerate(spec.schedules):
-            schedule = sspec.resolve(burn_n + n_run)
+        for sched_idx, (sspec, schedule) in enumerate(zip(spec.schedules, schedules)):
             meta_schedules.setdefault(sspec.label, {})[m] = schedule.label()
             if (isinstance(schedule, ConstantSchedule)
                     and potential.smoothness is not None
                     and potential.strong_convexity is not None
                     and 0 < schedule.h * potential.strong_convexity < 1):
-                info = contraction_info(potential.smoothness,
-                                        potential.strong_convexity,
-                                        schedule.h, d, n)
-                diag[f"{sspec.label}/m{m}"] = {
-                    "rho": info.rho, "ell": info.ell,
-                    "gcd_d_ell_n": info.gcd_d_ell_n,
-                }
+                diag[f"{sspec.label}/m{m}"] = asdict(contraction_info(
+                    potential.smoothness, potential.strong_convexity, schedule.h, d, n))
 
-            burn, main = _cell_chains(spec, d, schedule, burn_seq, main_seq, n_run,
-                                      sched_idx, m)
             names = tuple(f"{spec.model} {method} m={m} schedule={sspec.label} replicate {r}"
-                          for method, r in main)
-            if burn is not None:
-                burn_batch = ChainBatch(tuple(burn.values()), names)
-                final = run_chain(potential, burn_batch)
-                main = {key: replace(cfg, theta0=theta)
-                        for (key, cfg), theta in zip(main.items(), final)}
-                steps += burn_batch.n_steps
-            batch = ChainBatch(tuple(main.values()), names)
-            means = _cell_means(potential, batch)
-            steps += batch.n_steps
+                          for method, r in keys)
+            shift_rngs = [BaselinePrng(spec.seed, _stream(sched_idx, _ROLE_SHIFT, m, r))
+                          for r in range(reps)]
+            phase = partial(_cell_chains, spec, schedule, sched_idx, m, shift_rngs)
+            theta0 = np.zeros((len(keys), d))
+            batches = []
+            if burn_seq is not None:  # the main phase starts from the burn-in's final states
+                batches.append(ChainBatch(phase(burn_seq, burn_seq.n, 1, theta0), names))
+                theta0 = run_chain(potential, batches[-1])
+            batches.append(ChainBatch(phase(main_seq, n_run, 1 + spec.burn_in_n, theta0), names))
+            means = _cell_means(potential, batches[-1])
+            steps += sum(batch.n_steps for batch in batches)
             if trajectory_dir is not None:
-                for (method, r), cfg in main.items():
-                    _dump(potential, burn and burn[method, r], cfg,
+                for i, (method, r) in enumerate(keys):
+                    _dump(potential, [batch.chains[i] for batch in batches],
                           f"{trajectory_dir}/{method}_m{m}_{sspec.label}_r{r}.csv")
-
-            reps = spec.replicates
 
             for i, method in enumerate(("lmc", "lqmc")):
                 for kind in spec.test_functions:
@@ -320,9 +294,9 @@ def run_comparison(
         "dim": d,
         "experiment_seed": spec.seed,
         "data_seed": spec.data_seed,
-        "replicates": spec.replicates,
+        "replicates": reps,
         "truth_provenance": truth.provenance,
-        "burn_in_n": burn_n,
+        "burn_in_n": spec.burn_in_n,
         "drive": meta_drive,
         "schedules": meta_schedules,
         "contraction": diag,

@@ -266,16 +266,9 @@ class LfsrConfig:
             raise ConfigurationError("seed entries must be bits")
         if not any(self.seed):
             raise ConfigurationError("seed must not be all-zero (absorbing state)")
-        self.check_offset(self.offset, m)
-
-    @staticmethod
-    def check_offset(offset: int, m: int) -> None:
-        """ConfigurationError unless offset is positive and coprime with 2^m - 1."""
-        n = (1 << m) - 1
-        if offset < 1 or math.gcd(offset, n) != 1:
-            raise ConfigurationError(
-                f"offset {offset} must be positive and coprime with 2^{m}-1={n}"
-            )
+        if self.offset < 1 or math.gcd(self.offset, self.period) != 1:
+            raise ConfigurationError(f"offset {self.offset} must be positive and "
+                                     f"coprime with 2^{m}-1={self.period}")
 
     @property
     def m(self) -> int:
@@ -286,9 +279,15 @@ class LfsrConfig:
         return (1 << self.m) - 1
 
 
-def builtin_config(m: int, offset: int | None = None) -> LfsrConfig:
-    """Table-backed configuration for order ``m`` with optional offset override."""
-    return LfsrConfig(builtin_poly(m), DEFAULT_OFFSET if offset is None else offset)
+def builtin_config(m: int, offset: int | None = None,
+                   poly_mask: int | None = None) -> LfsrConfig:
+    """The generator of order ``m``: the table polynomial, or ``poly_mask`` when
+    that has degree m, at the default offset unless ``offset`` overrides it.
+    The one place that chooses a run's generator for each m."""
+    poly = builtin_poly(m)
+    if poly_mask is not None and poly_mask.bit_length() - 1 == m:
+        poly = Gf2Poly.from_mask(poly_mask)
+    return LfsrConfig(poly, DEFAULT_OFFSET if offset is None else offset)
 
 
 def _states(config: LfsrConfig, count: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Any
 
 import yaml
 
-from .cud_core import MAX_M, TABLE_RANGE, Gf2Poly, LfsrConfig, is_primitive
+from .cud_core import MAX_M, TABLE_RANGE, Gf2Poly, LfsrConfig, builtin_config, is_primitive
 from .errors import ConfigurationError, SpecError
 from .samplers import (ConstantSchedule, PolynomialSchedule, StepSchedule,
                        solve_polynomial_schedule)
@@ -218,15 +218,23 @@ class ExperimentSpec:
                 raise SpecError(f"poly_mask 0x{mask:x}: {exc}") from exc
             if not primitive:
                 raise SpecError(f"poly_mask 0x{mask:x} is not primitive")
-        burn_n = (1 << self.burn_in_m) - 1 if self.burn_in_m else 0
-        for m in self.m_values:
+        for m in self.m_values:  # build each cell as the run will
             try:
-                if self.offset is not None:
-                    LfsrConfig.check_offset(self.offset, m)
-                for sched in self.schedules:
-                    sched.resolve(burn_n + (self.n_override or (1 << m) - 1))
+                self.cell(m)
             except ConfigurationError as exc:
                 raise SpecError(f"m={m}: {exc}") from exc
+
+    @property
+    def burn_in_n(self) -> int:
+        """Steps of the burn-in run ahead of every main chain (0 without one)."""
+        return (1 << self.burn_in_m) - 1 if self.burn_in_m else 0
+
+    def cell(self, m: int) -> tuple[LfsrConfig, int, tuple[StepSchedule, ...]]:
+        """Order m's drive generator, main-chain length and step-size schedules,
+        one per spec schedule, each resolved over burn-in plus main steps."""
+        config = builtin_config(m, self.offset, self.poly_mask)
+        n_run = config.period if self.n_override is None else self.n_override
+        return config, n_run, tuple(s.resolve(self.burn_in_n + n_run) for s in self.schedules)
 
     # -- serialization ------------------------------------------------------
 

@@ -64,22 +64,16 @@ class GroundTruth:
     positive_prob_se: np.ndarray | None = None
     error_estimate: float | None = None
 
-    _ARRAYS = ("mean", "second_moment", "positive_prob",
-               "mean_se", "second_moment_se", "positive_prob_se")
+    # Test-function kind -> the field of its expectations; "<field>_se" holds
+    # their standard errors.
+    _FIELDS = {"coordinate": "mean", "square": "second_moment", "indicator": "positive_prob"}
+    _ARRAYS = (*_FIELDS.values(), *(f"{name}_se" for name in _FIELDS.values()))
 
     def values(self, kind: str) -> np.ndarray:
-        return {
-            "coordinate": self.mean,
-            "square": self.second_moment,
-            "indicator": self.positive_prob,
-        }[kind]
+        return getattr(self, self._FIELDS[kind])
 
     def se(self, kind: str) -> np.ndarray | None:
-        return {
-            "coordinate": self.mean_se,
-            "square": self.second_moment_se,
-            "indicator": self.positive_prob_se,
-        }[kind]
+        return getattr(self, f"{self._FIELDS[kind]}_se")
 
     def to_dict(self) -> dict:
         """JSON-ready payload; ``from_dict`` round-trips it."""
@@ -431,6 +425,9 @@ def load_ground_truth(path) -> GroundTruth:
         return GroundTruth.from_dict(json.load(fh))
 
 
+_REFERENCE_CHUNK = 4096  # reference steps per noise block and partial sum
+
+
 def reference_ground_truth(
     potential: Potential,
     h: float,
@@ -439,7 +436,6 @@ def reference_ground_truth(
     seed: int,
     stream: int = 777,
     discard_fraction: float = 0.125,
-    chunk: int = 4096,
 ) -> GroundTruth:
     """Long small-step chains as a ground-truth oracle.
 
@@ -471,7 +467,7 @@ def reference_ground_truth(
     kept = 0
     done = 0
     while done < n_steps:
-        b = min(chunk, n_steps - done)
+        b = min(_REFERENCE_CHUNK, n_steps - done)
         noise = clamped_normal(rng.uniform(b * s * d)).reshape(b, s, d)
         noise *= sq2h
         block = np.empty((b, s, d))

@@ -176,7 +176,6 @@ class ChainRun:
     trajectory: np.ndarray = field(repr=False)
     config: ChainConfig
     potential: object
-    segments: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -217,11 +216,11 @@ class ChainBatch:
 def run_chain(potential, config, observe=None) -> ChainRun | np.ndarray:
     """Run one chain, or a ``ChainBatch`` side by side as one (B, d) state.
 
-    A ``ChainConfig`` returns its ``ChainRun``.  A ``ChainBatch`` keeps no
-    trajectory: ``observe``, unless None, receives each (b, B, d) block of
-    states as it is made, and the call returns the final (B, d) state.
-    Gradients are exact (``grad`` for a lone chain, ``grad_batch`` for
-    several) or one minibatch ``sgrad`` per row.  Each row reads xi from its
+    ``observe``, unless None, receives each (b, B, d) block of states as it
+    is made (B = 1 for a lone chain).  A ``ChainConfig`` returns its
+    ``ChainRun``; a ``ChainBatch`` keeps no trajectory and returns the final
+    (B, d) state.  Gradients are exact (``grad_batch`` on the (B, d) state)
+    or one minibatch ``sgrad`` per row.  Each row reads xi from its
     own drive in blocks of at most ``_BLOCK`` steps.  Every baseline stream
     a row reads (a ``PseudoRandomDrive``, the minibatch indices) starts at
     the draws of iteration ``schedule_start``, so a chain continued on the
@@ -229,9 +228,6 @@ def run_chain(potential, config, observe=None) -> ChainRun | np.ndarray:
     DivergenceError naming it.
     """
     batch = config if isinstance(config, ChainBatch) else ChainBatch((config,), ("chain",))
-    blocks: list = []
-    if batch is not config:
-        observe = blocks.append
     head = batch.chains[0]
     d, n, size, start = head.dim, head.n_steps, head.minibatch, head.schedule_start
     if potential.dim != d:
@@ -251,10 +247,6 @@ def run_chain(potential, config, observe=None) -> ChainRun | np.ndarray:
         def grad_of(theta):
             return np.array([potential.sgrad(x, rng.index_subset(n_data, size))
                              for x, rng in zip(theta, rngs)])
-    elif len(batch.chains) == 1:  # grad on a vector costs less than grad_batch on a (1, d) stack
-
-        def grad_of(theta):
-            return potential.grad(theta[0])[None]
     elif potential.grad_batch is None:
         raise ConfigurationError(f"potential {potential.name!r} has no batched gradient")
     else:
@@ -262,6 +254,7 @@ def run_chain(potential, config, observe=None) -> ChainRun | np.ndarray:
     hs = head.schedule.step_sizes(n, start=start)
     sq2h = np.sqrt(2.0 * hs)
     theta = np.stack([c.theta0 for c in batch.chains])
+    traj = None if batch is config else np.empty((n, d))
     for k in range(0, n, _BLOCK):
         b = min(_BLOCK, n - k)
         noise = np.stack([take(b) for take in sources], axis=1)  # xi of the block
@@ -277,10 +270,9 @@ def run_chain(potential, config, observe=None) -> ChainRun | np.ndarray:
                                                  f"iteration {start + k + j}")
         if observe is not None:
             observe(block)
-    if batch is config:
-        return theta
-    traj = np.concatenate([np.empty((0, 1, d)), *blocks])[:, 0]
-    return ChainRun(traj, config, potential, segments=(config.n_steps,))
+        if traj is not None:
+            traj[k:k + b] = block[:, 0]
+    return theta if traj is None else ChainRun(traj, config, potential)
 
 
 def continue_chain(run: ChainRun, next_drive: Drive, extra_n: int) -> ChainRun:
@@ -307,7 +299,6 @@ def continue_chain(run: ChainRun, next_drive: Drive, extra_n: int) -> ChainRun:
         trajectory=np.concatenate([run.trajectory, tail.trajectory]),
         config=replace(cfg, n_steps=cfg.n_steps + extra_n),
         potential=run.potential,
-        segments=run.segments + (extra_n,),
     )
 
 

@@ -4,10 +4,12 @@ import re
 
 import numpy as np
 import pytest
+import yaml
 
 from lqmc.cli import (EXIT_DIVERGENCE, EXIT_OK, EXIT_VALIDATION, main)
 from lqmc.cud_core import MAX_M, builtin_config, generate_cud
-from lqmc.drive import build_drive_matrix
+from lqmc.drive import build_drive_matrix, coprime_width
+from lqmc.experiment import load_spec
 from lqmc.prng import BaselinePrng
 
 
@@ -134,6 +136,32 @@ run: {replicates: 3, seed: 5, test_functions: [coordinate]}
         text = out.read_text()
         assert text.startswith("model,method,m,n,schedule,test_fn,mse,stderr,replicates")
         assert (tmp_path / "report.csv.meta.yaml").exists()
+
+    def test_sidecar_records_the_spec_cells(self, tmp_path):
+        # The run writes each m's drive and schedules from spec.cell(m), the
+        # cell the loader built to validate the spec.
+        spec_path = tmp_path / "cells.yaml"
+        spec_path.write_text("""
+model: {kind: linear, n_obs: 8, dim: 3, data_seed: 2}
+drive: {m_values: [4, 5], offset: 4, poly_mask: 0x2f}
+schedules:
+  - {kind: solved, h_start: 0.01, h_end: 0.001}
+  - {kind: constant, h: 0.01}
+run: {replicates: 3, seed: 5, burn_in_m: 3, n_override: 9, test_functions: [coordinate]}
+""")
+        out = tmp_path / "report.csv"
+        assert run_cli("--output", str(out), "run", str(spec_path)) == EXIT_OK
+        meta = yaml.safe_load((tmp_path / "report.csv.meta.yaml").read_text())
+        spec = load_spec(spec_path)
+        for m in spec.m_values:
+            config, n_run, schedules = spec.cell(m)
+            assert meta["drive"][m] == {
+                "n": config.period, "n_run": n_run, "poly_mask": hex(config.poly.mask),
+                "offset": config.offset, "stored_width": coprime_width(config.period, 3)}
+            assert {label: by_m[m] for label, by_m in meta["schedules"].items()} == {
+                s.label: schedule.label() for s, schedule in zip(spec.schedules, schedules)}
+        assert meta["drive"][5]["poly_mask"] == "0x2f" and meta["drive"][4]["offset"] == 4
+        assert meta["burn_in_n"] == spec.burn_in_n == 7
 
     def test_identical_bytes_on_rerun(self, tmp_path):
         spec = tmp_path / "tiny.yaml"

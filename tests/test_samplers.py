@@ -113,6 +113,15 @@ class TestRunChain:
         b = run_chain(pot, cfg)
         assert np.array_equal(a.trajectory, b.trajectory)
 
+    def test_lone_chain_observes_its_blocks(self):
+        # observe sees a lone chain's (b, 1, d) blocks, as it sees a batch's.
+        blocks = []
+        run = run_chain(standard_gaussian_potential(2),
+                        ChainConfig(np.zeros(2), 600, ConstantSchedule(0.01),
+                                    PseudoRandomDrive(3)), blocks.append)
+        assert len(blocks) > 1 and all(b.shape[1:] == (1, 2) for b in blocks)
+        assert np.array_equal(np.concatenate(blocks)[:, 0], run.trajectory)
+
     def test_zero_drive_is_gradient_descent(self):
         pot = standard_gaussian_potential(1)
         drive = GaussianDrive(xi=np.zeros((100, 1)))
@@ -223,7 +232,6 @@ class TestContinueChain:
         main = build_drive_matrix(seq13, 1, rng=BaselinePrng(2))
         combined = continue_chain(run, main, seq13.n)
         assert combined.n == (2**10 - 1) + (2**13 - 1)
-        assert combined.segments == (2**10 - 1, 2**13 - 1)
         # first segment untouched
         assert np.array_equal(combined.trajectory[: run.n], run.trajectory)
 
