@@ -18,7 +18,6 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -259,13 +258,16 @@ def run_comparison(
                           for method, r in keys)
             shift_rngs = [BaselinePrng(spec.seed, _stream(sched_idx, _ROLE_SHIFT, m, r))
                           for r in range(reps)]
-            phase = partial(_cell_chains, spec, schedule, sched_idx, m, shift_rngs)
             theta0 = np.zeros((len(keys), d))
             batches = []
             if burn_seq is not None:  # the main phase starts from the burn-in's final states
-                batches.append(ChainBatch(phase(burn_seq, burn_seq.n, 1, theta0), names))
+                batches.append(ChainBatch(_cell_chains(
+                    spec, schedule, sched_idx, m, shift_rngs, burn_seq, spec.burn_in_n, 1,
+                    theta0), names))
                 theta0 = run_chain(potential, batches[-1])
-            batches.append(ChainBatch(phase(main_seq, n_run, 1 + spec.burn_in_n, theta0), names))
+            batches.append(ChainBatch(_cell_chains(
+                spec, schedule, sched_idx, m, shift_rngs, main_seq, n_run, 1 + spec.burn_in_n,
+                theta0), names))
             means = _cell_means(potential, batches[-1])
             steps += sum(batch.n_steps for batch in batches)
             if trajectory_dir is not None:

@@ -266,9 +266,16 @@ class LfsrConfig:
             raise ConfigurationError("seed entries must be bits")
         if not any(self.seed):
             raise ConfigurationError("seed must not be all-zero (absorbing state)")
-        if self.offset < 1 or math.gcd(self.offset, self.period) != 1:
-            raise ConfigurationError(f"offset {self.offset} must be positive and "
-                                     f"coprime with 2^{m}-1={self.period}")
+        self.check_offset(self.offset, m)
+
+    @staticmethod
+    def check_offset(offset: int, m: int) -> None:
+        """ConfigurationError unless offset is positive and coprime with 2^m - 1."""
+        n = (1 << m) - 1
+        if offset < 1 or math.gcd(offset, n) != 1:
+            raise ConfigurationError(
+                f"offset {offset} must be positive and coprime with 2^{m}-1={n}"
+            )
 
     @property
     def m(self) -> int:

@@ -218,9 +218,11 @@ class ExperimentSpec:
                 raise SpecError(f"poly_mask 0x{mask:x}: {exc}") from exc
             if not primitive:
                 raise SpecError(f"poly_mask 0x{mask:x} is not primitive")
-        for m in self.m_values:  # build each cell as the run will
+        for m in self.m_values:  # each cell's checks, with the run's own code
             try:
-                self.cell(m)
+                if self.offset is not None:  # the one way its generator can fail
+                    LfsrConfig.check_offset(self.offset, m)
+                self.main_run(m)
             except ConfigurationError as exc:
                 raise SpecError(f"m={m}: {exc}") from exc
 
@@ -229,12 +231,15 @@ class ExperimentSpec:
         """Steps of the burn-in run ahead of every main chain (0 without one)."""
         return (1 << self.burn_in_m) - 1 if self.burn_in_m else 0
 
+    def main_run(self, m: int) -> tuple[int, tuple[StepSchedule, ...]]:
+        """Order m's main-chain length and step-size schedules, one per spec
+        schedule, each resolved over burn-in plus main steps."""
+        n_run = (1 << m) - 1 if self.n_override is None else self.n_override
+        return n_run, tuple(s.resolve(self.burn_in_n + n_run) for s in self.schedules)
+
     def cell(self, m: int) -> tuple[LfsrConfig, int, tuple[StepSchedule, ...]]:
-        """Order m's drive generator, main-chain length and step-size schedules,
-        one per spec schedule, each resolved over burn-in plus main steps."""
-        config = builtin_config(m, self.offset, self.poly_mask)
-        n_run = config.period if self.n_override is None else self.n_override
-        return config, n_run, tuple(s.resolve(self.burn_in_n + n_run) for s in self.schedules)
+        """Order m's drive generator, then its ``main_run(m)``."""
+        return (builtin_config(m, self.offset, self.poly_mask), *self.main_run(m))
 
     # -- serialization ------------------------------------------------------
 

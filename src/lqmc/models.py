@@ -35,9 +35,10 @@ class Potential:
     ``sgrad(theta, idx)`` must return an unbiased gradient estimate
     from the data subset ``idx``:  grad(prior) + (N/|idx|) * sum of the
     selected per-datum likelihood gradients.  ``grad_batch`` evaluates the
-    exact gradient on a stack of points, used by batched chains and the
-    reference-chain oracle.  ``smoothness``/``strong_convexity`` are the (L, M) constants
-    when known.
+    exact gradient on a stack of points; every exact-gradient chain, lone or
+    batched, and the reference-chain oracle use it, so a chain without
+    minibatches needs it.  ``smoothness``/``strong_convexity`` are the (L, M)
+    constants when known.
     """
 
     dim: int
