@@ -211,7 +211,7 @@ def run_comparison(
     """Execute the full comparison described by ``spec``.
 
     Each m runs the generator, chain length and schedules of ``spec.cell(m)``,
-    the very cell the spec loader built to validate the spec.  ``truth``
+    whose checks the spec loader ran with the same code.  ``truth``
     overrides the model's ground-truth oracle (useful when a reference run
     is cached).  ``trajectory_dir`` dumps every chain's trajectory as CSV,
     re-running each chain alone (off by default: the files are large and

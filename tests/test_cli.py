@@ -138,8 +138,7 @@ run: {replicates: 3, seed: 5, test_functions: [coordinate]}
         assert (tmp_path / "report.csv.meta.yaml").exists()
 
     def test_sidecar_records_the_spec_cells(self, tmp_path):
-        # The run writes each m's drive and schedules from spec.cell(m), the
-        # cell the loader built to validate the spec.
+        # The run writes each m's drive and schedules from spec.cell(m).
         spec_path = tmp_path / "cells.yaml"
         spec_path.write_text("""
 model: {kind: linear, n_obs: 8, dim: 3, data_seed: 2}
