@@ -23,7 +23,7 @@ import numpy as np
 
 from .cud_core import PointSet, builtin_config, factorize, generate_cud
 from .drive import build_drive_matrix, coprime_width
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DataError, DomainError
 from .experiment import DEFAULT_TRUTH, TEST_FUNCTIONS, ExperimentSpec, TruthSpec
 from .models import (GroundTruth, closed_form_posterior,
                      crossed_effects_potential, double_well_potential,
@@ -139,19 +139,28 @@ def ground_truth_for(spec: ExperimentSpec, potential) -> GroundTruth:
 
 
 def cached_ground_truth(spec: ExperimentSpec, cache) -> GroundTruth:
-    """The spec's ground truth, loaded from ``cache`` if that file exists, else
-    computed (and saved to ``cache``); stderr says which, and how long it took.
+    """The spec's ground truth, loaded from ``cache`` if that file holds the
+    truth of the same ``model`` section and ``truth_source``, else computed
+    (and saved to ``cache`` with that key); stderr says which, why a cache
+    file was passed over, and how long a computation took.
     ``lqmc run --truth-cache`` and ``scripts/run_desk_suite.py`` both use it."""
-    if cache is not None and os.path.exists(cache):
-        print(f"truth: loaded from cache {cache}", file=sys.stderr)
-        return load_ground_truth(cache)
     provenance, ts = truth_source(spec)
+    key = {"model": spec.to_dict()["model"], "provenance": provenance,
+           "truth": None if ts is None else asdict(ts)}
+    if cache is not None and os.path.exists(cache):
+        try:
+            truth = load_ground_truth(cache, key)
+        except DataError as exc:
+            print(f"truth: cache {exc}; recomputing", file=sys.stderr)
+        else:
+            print(f"truth: loaded from cache {cache}", file=sys.stderr)
+            return truth
     settings = "" if ts is None else f" h={ts.h:g} n_steps={ts.n_steps} chains={ts.chains}"
     print(f"truth: computing {spec.model} {provenance}{settings}", file=sys.stderr)
     start = time.perf_counter()
     truth = ground_truth_for(spec, build_model(spec)[0])
     if cache is not None:
-        save_ground_truth(truth, cache)
+        save_ground_truth(truth, cache, key)
     print(f"truth: done in {time.perf_counter() - start:.1f} s, "
           + ("not cached" if cache is None else f"saved to {cache}"), file=sys.stderr)
     return truth
@@ -221,6 +230,9 @@ def run_comparison(
     if truth is None:
         truth = ground_truth_for(spec, potential)
     d = potential.dim
+    if any(len(truth.values(kind)) != d for kind in TEST_FUNCTIONS):
+        raise ConfigurationError(f"a ground truth of {len(truth.mean)} coordinates "
+                                 f"for the {spec.model} model of dimension {d}")
     reps = spec.replicates
     keys = [(method, r) for method in ("lmc", "lqmc") for r in range(reps)]  # chain order
     burn_seq = generate_cud(builtin_config(spec.burn_in_m)) if spec.burn_in_m else None

@@ -15,7 +15,6 @@ are diagnosed via projections).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -96,79 +95,38 @@ def _gf2_powmod(base: int, exp: int, f: int, m: int) -> int:
     return r
 
 
-def _gf2_mod(a: int, b: int) -> int:
-    """Remainder of binary-polynomial long division a mod b."""
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        a ^= b << (a.bit_length() - db)
-    return a
-
-
-def _gf2_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _gf2_mod(a, b)
-    return a
-
-
-@functools.cache
-def _primes_to(limit: int) -> tuple[int, ...]:
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return tuple(int(p) for p in np.nonzero(sieve)[0])
-
-
 def factorize(n: int) -> list[int]:
-    """Prime factors of n (without multiplicity) by trial division.
-
-    Feasible for n < 2**64 with smallest factor <= 2**16, which covers
-    every 2**m - 1 with m <= 32.
-    """
+    """Prime factors of n >= 1 (without multiplicity) by trial division up
+    to sqrt(n): exact for every n, and quick for every 2**m - 1 with m <= 32."""
     factors = []
-    for p in _primes_to(1 << 16):
-        if p * p > n:
-            break
+    p = 2
+    while p * p <= n:
         if n % p == 0:
             factors.append(p)
             while n % p == 0:
                 n //= p
+        p += 1
     if n > 1:
         factors.append(n)
     return factors
 
 
 def is_primitive(poly: Gf2Poly) -> bool:
-    """Whether ``poly`` is primitive over GF(2).
+    """Whether ``poly`` is primitive over GF(2), i.e. x has order n = 2**m - 1
+    modulo ``poly``: x^n == 1 and x^(n/q) != 1 for every prime q dividing n.
 
-    Decided by an irreducibility test (Rabin) followed by the order check:
-    x has order 2**m - 1 modulo ``poly`` iff x^((2**m-1)/q) != 1 for every
-    prime q dividing 2**m - 1.
+    That alone implies irreducibility: the n distinct powers of x are units
+    and fill all n nonzero residues, so the residue ring is a field (Lidl &
+    Niederreiter, *Finite Fields*, Thm 3.16).
     """
     m = poly.degree
     if m > 32:
         raise SizeError(f"order {m} unsupported (need 2 <= m <= 32)")
     f = poly.mask
-    # Irreducibility: x^(2^m) == x mod f, and gcd(x^(2^(m/q)) - x, f) == 1
-    # for each prime q | m.
-    x = 2
-    t = x
-    for _ in range(m):
-        t = _gf2_mulmod(t, t, f, m)
-    if t != x:
-        return False
-    for q in factorize(m):
-        t = x
-        for _ in range(m // q):
-            t = _gf2_mulmod(t, t, f, m)
-        if _gf2_gcd(t ^ x, f) != 1:
-            return False
-    # Order check.
     n = (1 << m) - 1
-    if _gf2_powmod(x, n, f, m) != 1:
+    if _gf2_powmod(2, n, f, m) != 1:
         return False
-    return all(_gf2_powmod(x, n // q, f, m) != 1 for q in factorize(n))
+    return all(_gf2_powmod(2, n // q, f, m) != 1 for q in factorize(n))
 
 
 # ---------------------------------------------------------------------------

@@ -378,11 +378,15 @@ def double_well_truth() -> GroundTruth:
 
 def standard_gaussian_potential(dim: int) -> Potential:
     """U = ||theta||^2 / 2 (L = M = 1): the exactly-contracting test target."""
+
+    def grad(th):  # a vector or an (s, d) stack
+        return th
+
     return Potential(
         dim=dim,
         value=lambda th: float(0.5 * th @ th),
-        grad=lambda th: th,
-        grad_batch=lambda ths: ths,
+        grad=grad,
+        grad_batch=grad,
         smoothness=1.0,
         strong_convexity=1.0,
         name="gaussian",
@@ -415,18 +419,27 @@ def max_gradient_error(potential: Potential, n_probes: int = 100, seed: int = 0,
     return worst
 
 
-def save_ground_truth(gt: GroundTruth, path) -> None:
-    """JSON dump of a GroundTruth, `load_ground_truth` round-trips it."""
+def save_ground_truth(gt: GroundTruth, path, key: dict | None = None) -> None:
+    """JSON dump of a GroundTruth, with ``key`` (what made it) beside the
+    arrays when given; `load_ground_truth` round-trips it."""
+    payload = gt.to_dict() if key is None else {**gt.to_dict(), "key": key}
     with open(path, "w") as fh:
-        json.dump(gt.to_dict(), fh)
+        json.dump(payload, fh)
 
 
-def load_ground_truth(path) -> GroundTruth:
+def load_ground_truth(path, key: dict | None = None) -> GroundTruth:
+    """The GroundTruth in ``path``; DataError if ``key`` is given and the
+    file was saved under another key (or none)."""
     with open(path) as fh:
-        return GroundTruth.from_dict(json.load(fh))
+        payload = json.load(fh)
+    if key is not None and payload.get("key") != key:
+        raise DataError(f"{path} holds the truth of {json.dumps(payload.get('key'))}, "
+                        f"not of {json.dumps(key)}")
+    return GroundTruth.from_dict(payload)
 
 
 _REFERENCE_CHUNK = 4096  # reference steps per noise block and partial sum
+_REFERENCE_STREAM = 777  # the baseline stream, under the truth's seed, of its noise
 
 
 def reference_ground_truth(
@@ -435,7 +448,6 @@ def reference_ground_truth(
     n_steps: int,
     n_chains: int,
     seed: int,
-    stream: int = 777,
     discard_fraction: float = 0.125,
 ) -> GroundTruth:
     """Long small-step chains as a ground-truth oracle.
@@ -461,7 +473,7 @@ def reference_ground_truth(
             f"discard_fraction={discard_fraction} of n_steps={n_steps} keeps no steps")
     d = potential.dim
     s = n_chains
-    rng = BaselinePrng(seed, stream)
+    rng = BaselinePrng(seed, _REFERENCE_STREAM)
     theta = np.zeros((s, d))
     sq2h = np.sqrt(2.0 * h)
     sums = np.zeros((3, s, d))

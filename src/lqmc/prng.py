@@ -18,13 +18,13 @@ Uniform doubles are ``(out >> 11) * 2**-53``, i.e. in [0, 1).  Distinct
 ``(seed, stream)`` pairs give effectively independent streams; the object
 keeps a running counter so successive calls continue the stream.
 
-Small draws are served from a look-ahead block: the next ``_AHEAD`` words
-of the stream, computed at once and handed out slice by slice, so a
-minibatch draw of ten indices does not pay for a vectorized pass of its
-own.  A draw of ``_AHEAD`` words or more is computed straight from the
-counter and leaves the block alone.  Either way output ``i`` is the word
-above, a pure function of ``(seed, stream, i)``: where the block starts
-changes no value.
+Small uniform draws are served from a look-ahead block: the uniforms of
+the next ``_AHEAD`` outputs of the stream, computed at once and handed out
+slice by slice, so a minibatch draw of ten indices does not pay for a
+vectorized pass of its own.  A uniform draw of ``_AHEAD`` or more, and
+every ``uint64`` draw, is computed straight from the counter and leaves the
+block alone.  Either way output ``i`` is the word above, a pure function of
+``(seed, stream, i)``: where the block starts changes no value.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _STREAM_MULT = 0xD1B54A32D192ED03
 _SEED_SALT = 0x243F6A8885A308D3
 _INV_2_53 = 2.0 ** -53
-_AHEAD = 1024  # words computed ahead for draws smaller than this
-_EMPTY = (np.empty(0, dtype=np.uint64), np.empty(0))
+_AHEAD = 1024  # uniforms computed ahead for draws smaller than this
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -64,41 +63,39 @@ class BaselinePrng:
         k = _mix64(k ^ np.uint64((self.stream * _STREAM_MULT) & 0xFFFFFFFFFFFFFFFF))
         self._key = k
         self._counter = int(counter)  # outputs of the stream already consumed
-        self._ahead = _EMPTY  # look-ahead block: (words, their uniforms) ...
-        self._ahead_at = 0  # ... for outputs _ahead_at .. _ahead_at + _AHEAD - 1
+        self._ahead = np.empty(0)  # look-ahead block: the uniforms of outputs ...
+        self._ahead_at = 0  # ... _ahead_at .. _ahead_at + len(_ahead) - 1
 
     def _words(self, start: int, count: int) -> np.ndarray:
         idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
             return _mix64(self._key + idx * np.uint64(_GAMMA))
 
-    def _direct(self, start: int, count: int, kind: int) -> np.ndarray:
-        """Outputs start .. start + count - 1 as words (kind 0) or uniforms (kind 1)."""
-        if kind == 0:
-            return self._words(start, count)
+    def _uniforms(self, start: int, count: int) -> np.ndarray:
         return (self._words(start, count) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
-    def _draw(self, count: int, kind: int) -> np.ndarray:
-        """The next ``count`` outputs; a copy out of the look-ahead block if small."""
+    def _take(self, count: int) -> int:
+        """Consume the next ``count`` outputs; the index of the first."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        start = self._counter
         self._counter += count
-        if count >= _AHEAD:
-            return self._direct(start, count, kind)
-        off = start - self._ahead_at
-        if off + count > len(self._ahead[0]):
-            self._ahead = (self._direct(start, _AHEAD, 0), self._direct(start, _AHEAD, 1))
-            self._ahead_at, off = start, 0
-        return self._ahead[kind][off:off + count].copy()
+        return self._counter - count
 
     def uint64(self, count: int) -> np.ndarray:
         """Next ``count`` raw 64-bit words of the stream."""
-        return self._draw(count, 0)
+        return self._words(self._take(count), count)
 
     def uniform(self, count: int) -> np.ndarray:
-        """Next ``count`` doubles, uniform on [0, 1) with 2**-53 granularity."""
-        return self._draw(count, 1)
+        """Next ``count`` doubles, uniform on [0, 1) with 2**-53 granularity;
+        a copy out of the look-ahead block if fewer than ``_AHEAD``."""
+        start = self._take(count)
+        if count >= _AHEAD:
+            return self._uniforms(start, count)
+        off = start - self._ahead_at
+        if off + count > len(self._ahead):
+            self._ahead = self._uniforms(start, _AHEAD)
+            self._ahead_at, off = start, 0
+        return self._ahead[off:off + count].copy()
 
     def index_subset(self, n: int, k: int) -> np.ndarray:
         """Uniform subset of ``k`` distinct indices from ``range(n)``.

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and output determinism."""
 
+import json
 import re
 
 import numpy as np
@@ -240,6 +241,42 @@ truth: {h: 0.001, n_steps: 1024, chains: 2, seed: 5}
         hit = capsys.readouterr()
         assert hit.err == f"truth: loaded from cache {cache}\n"
         assert hit.out == miss.out
+
+    LINEAR = ("model: {kind: linear, n_obs: 8, dim: 4, data_seed: %d}\n"
+              "drive: {m_values: [4]}\nschedules: [{kind: constant, h: 0.01}]\n"
+              "run: {replicates: 2, seed: 1}\n")
+    DOUBLE_WELL = ("model: {kind: double_well}\ndrive: {m_values: [4]}\n"
+                   "schedules: [{kind: constant, h: 0.01}]\nrun: {replicates: 2, seed: 1}\n")
+
+    @pytest.mark.parametrize("first, stored", [(DOUBLE_WELL, '"kind": "double_well"'),
+                                               (LINEAR % 3, '"data_seed": 3')],
+                             ids=["other_model", "other_data_seed"])
+    def test_truth_made_for_another_spec_is_recomputed(self, tmp_path, capsys, first, stored):
+        cache = tmp_path / "truth.json"
+        (tmp_path / "first.yaml").write_text(first)
+        (tmp_path / "spec.yaml").write_text(self.LINEAR % 4)
+        assert run_cli("run", str(tmp_path / "first.yaml"), "--truth-cache", str(cache)) == EXIT_OK
+        capsys.readouterr()
+        assert run_cli("run", str(tmp_path / "spec.yaml"), "--truth-cache", str(cache)) == EXIT_OK
+        cached = capsys.readouterr()
+        assert run_cli("run", str(tmp_path / "spec.yaml")) == EXIT_OK
+        assert cached.out == capsys.readouterr().out
+        why = cached.err.split("\n")[0]
+        assert why.startswith(f"truth: cache {cache} holds the truth of ") and stored in why
+        assert why.endswith("; recomputing")
+
+    def test_truth_of_another_size_exits_2(self, tmp_path, capsys):
+        spec, cache = tmp_path / "spec.yaml", tmp_path / "truth.json"
+        spec.write_text(self.LINEAR % 4)
+        assert run_cli("run", str(spec), "--truth-cache", str(cache)) == EXIT_OK
+        payload = json.loads(cache.read_text())
+        for name in ("mean", "second_moment", "positive_prob"):  # under the spec's own key
+            payload[name] = payload[name][:1]
+        cache.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("run", str(spec), "--truth-cache", str(cache)) == EXIT_VALIDATION
+        assert ("a ground truth of 1 coordinates for the linear model of dimension 4"
+                in capsys.readouterr().err)
 
     def test_uncached_exact_truth(self, tmp_path, capsys):
         spec = tmp_path / "tiny.yaml"

@@ -7,7 +7,7 @@ by repeated naive polynomial multiplication.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from lqmc.cud_core import Gf2Poly, builtin_poly, factorize, is_primitive
@@ -100,13 +100,13 @@ class TestIsPrimitive:
         with pytest.raises(SizeError):
             is_primitive(Gf2Poly(33, (1,) + (0,) * 32))
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=3, max_value=9), st.data())
-    def test_matches_brute_force_period(self, m, data):
-        coeffs = tuple([1] + [data.draw(st.integers(0, 1)) for _ in range(m - 1)])
-        poly = Gf2Poly(m, coeffs)
-        full = naive_lfsr_period(list(coeffs), [1] + [0] * (m - 1)) == 2**m - 1
-        assert is_primitive(poly) == full
+    def test_matches_brute_force_period(self):
+        # every polynomial with a_0 = 1 of degree 2..10: 1,022 of them
+        for mask in range(5, 1 << 11, 2):
+            poly = Gf2Poly.from_mask(mask)
+            m = poly.degree
+            full = naive_lfsr_period(list(poly.coeffs), [1] + [0] * (m - 1)) == 2**m - 1
+            assert is_primitive(poly) == full, poly
 
 
 class TestBuiltinTable:
@@ -126,6 +126,8 @@ class TestFactorize:
         assert factorize(2**16 - 1) == [3, 5, 17, 257]
         assert factorize(2**13 - 1) == [8191]
         assert factorize(12) == [2, 3]
+        assert factorize(1) == []
+        assert factorize(65537 * 65539) == [65537, 65539]  # both factors above 2^16
 
     @given(st.integers(min_value=2, max_value=10**6))
     def test_factors_are_prime_divisors(self, n):
