@@ -2,7 +2,7 @@
 
 from .bench import (MseReport, iid_pointset, lcg_demo, run_comparison,
                     smallest_primitive_root)
-from .cud_core import (CudSequence, Gf2Poly, LfsrConfig, PointSet,
+from .cud_core import (CudSequence, LfsrConfig, PointSet,
                        builtin_config, builtin_poly, generate_cud,
                        is_primitive, lfsr_bitstream, lfsr_period,
                        overlapping_tuples, star_discrepancy_1d,

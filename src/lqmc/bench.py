@@ -253,7 +253,7 @@ def run_comparison(
         meta_drive[m] = {
             "n": n,
             "n_run": n_run,
-            "poly_mask": hex(config.poly.mask),
+            "poly_mask": hex(config.poly_mask),
             "offset": config.offset,
             "stored_width": coprime_width(n, d),
         }

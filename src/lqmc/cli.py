@@ -100,6 +100,15 @@ def _emit(text: str, output: str | None) -> None:
 
 def _cmd_gen(args) -> int:
     if args.table:
+        ignored, why = ("-m", "--offset", "--count", "--matrix", "--shift-seed"), "with --table"
+    elif args.matrix is not None:
+        ignored, why = ("--count",), "with --matrix"
+    else:
+        ignored, why = ("--shift-seed",), "without --matrix"
+    for option in ignored:  # refused rather than silently ignored
+        if getattr(args, option.lstrip("-").replace("-", "_")) is not None:
+            raise ConfigurationError(f"gen {option} has no effect {why}")
+    if args.table:
         _emit(table_listing(), args.output)
         return EXIT_OK
     if args.m is None:
@@ -107,7 +116,7 @@ def _cmd_gen(args) -> int:
     config = builtin_config(args.m, offset=args.offset)
     n = config.period
     seq = generate_cud(config)  # refuses a polynomial that is not primitive
-    print(f"m={args.m} poly=0x{config.poly.mask:x} offset={config.offset} "
+    print(f"m={args.m} poly=0x{config.poly_mask:x} offset={config.offset} "
           f"period={n} (implied by primitivity) gcd(offset, period)=1", file=sys.stderr)
     if args.matrix is not None:
         # without --shift-seed: the pre-shift matrix, suitable for bit-comparison

@@ -27,51 +27,6 @@ from .errors import ConfigurationError, DomainError, SizeError
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Gf2Poly:
-    """Monic binary polynomial x^m + a_{m-1} x^{m-1} + ... + a_1 x + a_0.
-
-    ``coeffs[j]`` is a_j; the leading coefficient is implicit.  a_0 must be
-    1, otherwise x divides the polynomial and it cannot be primitive.
-    """
-
-    degree: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.degree < 2:
-            raise ConfigurationError(f"degree must be >= 2, got {self.degree}")
-        if len(self.coeffs) != self.degree:
-            raise ConfigurationError(
-                f"expected {self.degree} coefficients, got {len(self.coeffs)}"
-            )
-        if any(c not in (0, 1) for c in self.coeffs):
-            raise ConfigurationError("coefficients must be bits")
-        if self.coeffs[0] != 1:
-            raise ConfigurationError("constant coefficient a_0 must be 1")
-
-    @property
-    def mask(self) -> int:
-        """Integer encoding with bit j = coefficient of x^j (leading bit set)."""
-        m = 1 << self.degree
-        for j, c in enumerate(self.coeffs):
-            m |= c << j
-        return m
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "Gf2Poly":
-        degree = mask.bit_length() - 1
-        return cls(degree, tuple((mask >> j) & 1 for j in range(degree)))
-
-    def __str__(self) -> str:
-        terms = ["x^%d" % self.degree]
-        for j in range(self.degree - 1, 0, -1):
-            if self.coeffs[j]:
-                terms.append("x" if j == 1 else "x^%d" % j)
-        terms.append("1")
-        return " + ".join(terms)
-
-
 def _gf2_mulmod(a: int, b: int, f: int, m: int) -> int:
     """Carry-less multiply of a and b, reduced modulo f (degree m)."""
     r = 0
@@ -111,22 +66,23 @@ def factorize(n: int) -> list[int]:
     return factors
 
 
-def is_primitive(poly: Gf2Poly) -> bool:
-    """Whether ``poly`` is primitive over GF(2), i.e. x has order n = 2**m - 1
-    modulo ``poly``: x^n == 1 and x^(n/q) != 1 for every prime q dividing n.
+def is_primitive(mask: int) -> bool:
+    """Whether the polynomial with coefficient mask ``mask`` (bit j is the
+    coefficient of x^j, degree m = mask.bit_length() - 1) is primitive over
+    GF(2), i.e. x has order n = 2**m - 1 modulo it: x^n == 1 and
+    x^(n/q) != 1 for every prime q dividing n.
 
     That alone implies irreducibility: the n distinct powers of x are units
     and fill all n nonzero residues, so the residue ring is a field (Lidl &
     Niederreiter, *Finite Fields*, Thm 3.16).
     """
-    m = poly.degree
-    if m > 32:
+    m = mask.bit_length() - 1
+    if not 2 <= m <= 32:
         raise SizeError(f"order {m} unsupported (need 2 <= m <= 32)")
-    f = poly.mask
     n = (1 << m) - 1
-    if _gf2_powmod(2, n, f, m) != 1:
+    if _gf2_powmod(2, n, mask, m) != 1:
         return False
-    return all(_gf2_powmod(2, n // q, f, m) != 1 for q in factorize(n))
+    return all(_gf2_powmod(2, n // q, mask, m) != 1 for q in factorize(n))
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +135,13 @@ MAX_M = 26
 _LANES = 4096  # LFSR lanes advanced together by _states
 
 
-def builtin_poly(m: int) -> Gf2Poly:
-    """Table polynomial for order ``m`` (3 <= m <= 32)."""
+def builtin_poly(m: int) -> int:
+    """Table polynomial mask for order ``m`` (3 <= m <= 32)."""
     if m not in _POLY_MASKS:
         raise ConfigurationError(
             f"m={m} outside built-in table range {TABLE_RANGE.start}..{TABLE_RANGE.stop - 1}"
         )
-    return Gf2Poly.from_mask(_POLY_MASKS[m])
-
-
-def default_seed(m: int) -> tuple[int, ...]:
-    """Fixed seed (1, 0, ..., 0): randomization comes from the shift, not here."""
-    return (1,) + (0,) * (m - 1)
+    return _POLY_MASKS[m]
 
 
 def table_listing() -> str:
@@ -208,23 +159,25 @@ def table_listing() -> str:
 
 @dataclass(frozen=True)
 class LfsrConfig:
-    """Fully determines one period-(2**m - 1) driving sequence."""
+    """Fully determines one period-(2**m - 1) driving sequence: the
+    characteristic polynomial x^m + a_{m-1} x^{m-1} + ... + a_0 as a mask
+    (bit j is a_j, bit m the leading 1) and the decimation offset.
 
-    poly: Gf2Poly
+    The register starts at (1, 0, ..., 0).  For a primitive polynomial every
+    nonzero state lies on the one cycle, so another start would only rotate
+    the period; randomization comes from the shift, not here.
+    """
+
+    poly_mask: int
     offset: int = DEFAULT_OFFSET
-    seed: tuple[int, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.seed is None:
-            object.__setattr__(self, "seed", default_seed(self.poly.degree))
-        m = self.poly.degree
-        if len(self.seed) != m:
-            raise ConfigurationError(f"seed must have {m} bits")
-        if any(b not in (0, 1) for b in self.seed):
-            raise ConfigurationError("seed entries must be bits")
-        if not any(self.seed):
-            raise ConfigurationError("seed must not be all-zero (absorbing state)")
-        self.check_offset(self.offset, m)
+        if self.m < 2:
+            raise ConfigurationError(f"degree must be >= 2, got mask 0x{self.poly_mask:x}")
+        if not self.poly_mask & 1:  # x divides it, so it cannot be primitive
+            raise ConfigurationError(
+                f"constant coefficient a_0 of mask 0x{self.poly_mask:x} must be 1")
+        self.check_offset(self.offset, self.m)
 
     @staticmethod
     def check_offset(offset: int, m: int) -> None:
@@ -237,7 +190,7 @@ class LfsrConfig:
 
     @property
     def m(self) -> int:
-        return self.poly.degree
+        return self.poly_mask.bit_length() - 1
 
     @property
     def period(self) -> int:
@@ -249,10 +202,9 @@ def builtin_config(m: int, offset: int | None = None,
     """The generator of order ``m``: the table polynomial, or ``poly_mask`` when
     that has degree m, at the default offset unless ``offset`` overrides it.
     The one place that chooses a run's generator for each m."""
-    poly = builtin_poly(m)
-    if poly_mask is not None and poly_mask.bit_length() - 1 == m:
-        poly = Gf2Poly.from_mask(poly_mask)
-    return LfsrConfig(poly, DEFAULT_OFFSET if offset is None else offset)
+    if poly_mask is None or poly_mask.bit_length() - 1 != m:
+        poly_mask = builtin_poly(m)
+    return LfsrConfig(poly_mask, DEFAULT_OFFSET if offset is None else offset)
 
 
 def _states(config: LfsrConfig, count: int) -> np.ndarray:
@@ -269,7 +221,7 @@ def _states(config: LfsrConfig, count: int) -> np.ndarray:
     if count > 1 << MAX_M:
         raise SizeError(f"m={m}: {count} LFSR states exceed the budget of 2^{MAX_M}")
     one, full = np.uint64(1), np.uint64((1 << m) - 1)
-    taps = np.uint64(sum(a << (m - 1 - j) for j, a in enumerate(config.poly.coeffs)))
+    taps = np.uint64(sum((config.poly_mask >> j & 1) << (m - 1 - j) for j in range(m)))
     folds = [np.uint64(1 << k) for k in reversed(range((m - 1).bit_length()))]
 
     def step(r):
@@ -285,10 +237,10 @@ def _states(config: LfsrConfig, count: int) -> np.ndarray:
     for i in range(1, m):
         powers[i] = step(powers[i - 1])
     r = np.empty(lanes, dtype=np.uint64)
-    r[0] = sum(b << (m - 1 - j) for j, b in enumerate(config.seed))
+    r[0] = 1 << (m - 1)  # the start (1, 0, ..., 0)
     k = 1
     while k < lanes:  # lanes k..2k-1 are lanes 0..k-1 advanced k*steps steps
-        g = _gf2_powmod(2, k * steps, config.poly.mask, m)
+        g = _gf2_powmod(2, k * steps, config.poly_mask, m)
         # images[j]: state 2**j after k*steps steps, sum of powers[i] over the x^i of g
         images = np.bitwise_xor.reduce(powers[[i for i in range(m) if g >> i & 1]])
         bits = (r[:k, None] >> np.arange(m, dtype=np.uint64)) & one
@@ -304,8 +256,8 @@ def _states(config: LfsrConfig, count: int) -> np.ndarray:
 def lfsr_bitstream(config: LfsrConfig, count: int) -> np.ndarray:
     """First ``count`` bits b_0, b_1, ... of the shift-register recursion.
 
-    b_i = sum_j a_j b_{i-m+j} mod 2 for i >= m, with the first m bits equal
-    to the seed.  Deterministic in the configuration.
+    b_i = sum_j a_j b_{i-m+j} mod 2 for i >= m, with the first m bits
+    1, 0, ..., 0.  Deterministic in the configuration.
     """
     if count < 0:
         raise DomainError("count must be nonnegative")
@@ -351,10 +303,8 @@ def generate_cud(config: LfsrConfig) -> CudSequence:
     2**m - 1); the offset condition gcd(s, 2**m - 1) = 1 is enforced by
     ``LfsrConfig``.  Memory is O(2**m); m above ``MAX_M`` is refused.
     """
-    if not is_primitive(config.poly):
-        raise ConfigurationError(
-            f"polynomial {config.poly} (mask 0x{config.poly.mask:x}) is not primitive"
-        )
+    if not is_primitive(config.poly_mask):
+        raise ConfigurationError(f"polynomial 0x{config.poly_mask:x} is not primitive")
     n = config.period
     # values[i] is the window at bit s*i, i.e. state r_{s*i mod n} over 2**m
     values = _states(config, n) * 2.0 ** -config.m

@@ -11,6 +11,7 @@ small-step reference chain averaged over independent seeds.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -421,25 +422,44 @@ def max_gradient_error(potential: Potential, n_probes: int = 100, seed: int = 0,
 
 def save_ground_truth(gt: GroundTruth, path, key: dict | None = None) -> None:
     """JSON dump of a GroundTruth, with ``key`` (what made it) beside the
-    arrays when given; `load_ground_truth` round-trips it."""
+    arrays when given; `load_ground_truth` round-trips it.  Written to a
+    temporary file beside ``path`` and renamed over it, so an interrupted
+    save leaves the old file or none, never a truncated one."""
     payload = gt.to_dict() if key is None else {**gt.to_dict(), "key": key}
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_ground_truth(path, key: dict | None = None) -> GroundTruth:
-    """The GroundTruth in ``path``; DataError if ``key`` is given and the
-    file was saved under another key (or none)."""
+    """The GroundTruth in ``path``; DataError if the file is not a saved
+    truth, or if ``key`` is given and the file was saved under another key
+    (or none)."""
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{path} is not JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{path} holds a JSON {type(payload).__name__}, not a truth object")
     if key is not None and payload.get("key") != key:
         raise DataError(f"{path} holds the truth of {json.dumps(payload.get('key'))}, "
                         f"not of {json.dumps(key)}")
-    return GroundTruth.from_dict(payload)
+    try:
+        return GroundTruth.from_dict(payload)
+    except KeyError as exc:
+        raise DataError(f"{path} has no field {exc}") from exc
 
 
 _REFERENCE_CHUNK = 4096  # reference steps per noise block and partial sum
 _REFERENCE_STREAM = 777  # the baseline stream, under the truth's seed, of its noise
+_REFERENCE_DISCARD = 0.125  # leading share of each reference chain left out as burn-in
 
 
 def reference_ground_truth(
@@ -448,29 +468,27 @@ def reference_ground_truth(
     n_steps: int,
     n_chains: int,
     seed: int,
-    discard_fraction: float = 0.125,
 ) -> GroundTruth:
     """Long small-step chains as a ground-truth oracle.
 
     Runs ``n_chains`` independent plain-Langevin chains side by side from
     the origin (one baseline stream, partitioned by chain), discards the
-    leading fraction, and averages the three test-function families over
-    the rest.  Standard errors are across chains: each is the spread of
+    leading ``_REFERENCE_DISCARD`` share, and averages the three
+    test-function families over the rest.  Standard errors are across chains: each is the spread of
     ``n_chains`` per-chain averages, so it has ``n_chains - 1`` degrees of
     freedom and (estimate - truth) / se is Student-t, not normal.  This is
     a separate vectorized implementation, not the sequential sampler under
-    test.  Raises ``ConfigurationError`` for fewer than two chains or a
-    ``discard_fraction`` that keeps no steps.
+    test.  Raises ``ConfigurationError`` for fewer than two chains or
+    fewer than one step.
     """
     if potential.grad_batch is None:
         raise ConfigurationError("reference runs need a batched gradient")
     if n_chains < 2:
         raise ConfigurationError(
             f"reference runs need n_chains >= 2 for a standard error, got {n_chains}")
-    discard = int(discard_fraction * n_steps)
-    if discard >= n_steps:
-        raise ConfigurationError(
-            f"discard_fraction={discard_fraction} of n_steps={n_steps} keeps no steps")
+    if n_steps < 1:
+        raise ConfigurationError(f"reference runs need n_steps >= 1, got {n_steps}")
+    discard = int(_REFERENCE_DISCARD * n_steps)
     d = potential.dim
     s = n_chains
     rng = BaselinePrng(seed, _REFERENCE_STREAM)

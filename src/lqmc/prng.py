@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GAMMA = 0x9E3779B97F4A7C15
 _STREAM_MULT = 0xD1B54A32D192ED03
 _SEED_SALT = 0x243F6A8885A308D3

@@ -65,6 +65,17 @@ class TestGen:
         assert "32  0x1000000af  2" in out
         assert [int(line.split()[0]) for line in out.splitlines()[1:]] == list(range(3, 33))
 
+    @pytest.mark.parametrize("argv, option", [
+        (("-m", "5", "--matrix", "3", "--count", "4"), "--count"),
+        (("-m", "5", "--count", "4", "--shift-seed", "9"), "--shift-seed"),
+        (("--table", "-m", "5"), "-m"),
+    ], ids=["count-with-matrix", "shift-seed-without-matrix", "m-with-table"])
+    def test_options_it_would_ignore_refused(self, capsys, argv, option):
+        assert run_cli("gen", *argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error (gen): gen {option} has no effect")
+        assert captured.out == ""
+
     def test_order_above_budget_refused(self, capsys):
         assert run_cli("gen", "-m", str(MAX_M + 4)) == EXIT_VALIDATION
         assert f"budget of 2^{MAX_M}" in capsys.readouterr().err
@@ -156,7 +167,7 @@ run: {replicates: 3, seed: 5, burn_in_m: 3, n_override: 9, test_functions: [coor
         for m in spec.m_values:
             config, n_run, schedules = spec.cell(m)
             assert meta["drive"][m] == {
-                "n": config.period, "n_run": n_run, "poly_mask": hex(config.poly.mask),
+                "n": config.period, "n_run": n_run, "poly_mask": hex(config.poly_mask),
                 "offset": config.offset, "stored_width": coprime_width(config.period, 3)}
             assert {label: by_m[m] for label, by_m in meta["schedules"].items()} == {
                 s.label: schedule.label() for s, schedule in zip(spec.schedules, schedules)}
@@ -248,22 +259,32 @@ truth: {h: 0.001, n_steps: 1024, chains: 2, seed: 5}
     DOUBLE_WELL = ("model: {kind: double_well}\ndrive: {m_values: [4]}\n"
                    "schedules: [{kind: constant, h: 0.01}]\nrun: {replicates: 2, seed: 1}\n")
 
-    @pytest.mark.parametrize("first, stored", [(DOUBLE_WELL, '"kind": "double_well"'),
-                                               (LINEAR % 3, '"data_seed": 3')],
-                             ids=["other_model", "other_data_seed"])
+    @pytest.mark.parametrize("first, stored", [
+        (DOUBLE_WELL, 'holds the truth of {"model": {"kind": "double_well"'),
+        (LINEAR % 3, 'holds the truth of {"model": {"kind": "linear", "n_obs": 8, "dim": 4, '
+                     '"data_seed": 3'),
+        # a damaged copy of the spec's own truth
+        (lambda saved: '{"mean": [1', "is not JSON: Expecting ',' delimiter"),
+        (lambda saved: json.dumps({k: v for k, v in saved.items() if k != "second_moment"}),
+         "has no field 'second_moment'"),
+        (lambda saved: json.dumps([saved]), "holds a JSON list, not a truth object"),
+    ], ids=["other_model", "other_data_seed", "truncated", "no_second_moment", "json_list"])
     def test_truth_made_for_another_spec_is_recomputed(self, tmp_path, capsys, first, stored):
         cache = tmp_path / "truth.json"
-        (tmp_path / "first.yaml").write_text(first)
         (tmp_path / "spec.yaml").write_text(self.LINEAR % 4)
+        (tmp_path / "first.yaml").write_text(self.LINEAR % 4 if callable(first) else first)
         assert run_cli("run", str(tmp_path / "first.yaml"), "--truth-cache", str(cache)) == EXIT_OK
+        if callable(first):
+            cache.write_text(first(json.loads(cache.read_text())))
         capsys.readouterr()
         assert run_cli("run", str(tmp_path / "spec.yaml"), "--truth-cache", str(cache)) == EXIT_OK
         cached = capsys.readouterr()
         assert run_cli("run", str(tmp_path / "spec.yaml")) == EXIT_OK
         assert cached.out == capsys.readouterr().out
         why = cached.err.split("\n")[0]
-        assert why.startswith(f"truth: cache {cache} holds the truth of ") and stored in why
+        assert why.startswith(f"truth: cache {cache} ") and stored in why
         assert why.endswith("; recomputing")
+        assert not list(tmp_path.glob("*.tmp"))  # the saves left no temporary file
 
     def test_truth_of_another_size_exits_2(self, tmp_path, capsys):
         spec, cache = tmp_path / "spec.yaml", tmp_path / "truth.json"

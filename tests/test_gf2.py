@@ -10,8 +10,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lqmc.cud_core import Gf2Poly, builtin_poly, factorize, is_primitive
+from lqmc.cud_core import builtin_poly, factorize, is_primitive
 from lqmc.errors import ConfigurationError, SizeError
+
+
+def coeffs_of(mask):
+    """[a_0, ..., a_{m-1}] of the polynomial with coefficient mask ``mask``
+    (bit j is a_j, the top bit the leading 1)."""
+    return [(mask >> j) & 1 for j in range(mask.bit_length() - 1)]
 
 
 def naive_lfsr_period(coeffs, seed):
@@ -43,70 +49,43 @@ def naive_polymul_mod(a, b, f):
     return prod
 
 
-def naive_order_of_x(poly: Gf2Poly):
-    """Multiplicative order of x modulo poly by brute-force powers."""
-    f = list(poly.coeffs) + [1]
-    acc = [0, 1] + [0] * max(0, poly.degree - 2)  # the polynomial x
+def naive_order_of_x(mask):
+    """Multiplicative order of x modulo the polynomial ``mask`` by brute-force powers."""
+    f = coeffs_of(mask) + [1]
+    m = len(f) - 1
+    acc = [0, 1] + [0] * max(0, m - 2)  # the polynomial x
     x = list(acc)
-    for k in range(1, 2**poly.degree + 1):
+    for k in range(1, 2**m + 1):
         if acc[0] == 1 and not any(acc[1:]):
             return k
         acc = naive_polymul_mod(acc, x, f)
     return None
 
 
-class TestGf2Poly:
-    def test_mask_round_trip(self):
-        p = Gf2Poly(3, (1, 1, 0))
-        assert p.mask == 0b1011
-        assert Gf2Poly.from_mask(0b1011) == p
-        assert str(p) == "x^3 + x + 1"
-
-    def test_rejects_even_constant_term(self):
-        with pytest.raises(ConfigurationError):
-            Gf2Poly(3, (0, 1, 1))
-
-    def test_rejects_degree_below_two(self):
-        with pytest.raises(ConfigurationError):
-            Gf2Poly(1, (1,))
-
-    def test_rejects_wrong_coefficient_count(self):
-        with pytest.raises(ConfigurationError):
-            Gf2Poly(3, (1, 1))
-
-    @given(st.integers(min_value=2, max_value=12), st.data())
-    def test_from_mask_inverts_mask(self, degree, data):
-        coeffs = tuple([1] + [data.draw(st.integers(0, 1)) for _ in range(degree - 1)])
-        p = Gf2Poly(degree, coeffs)
-        assert Gf2Poly.from_mask(p.mask) == p
-
-
 class TestIsPrimitive:
     def test_standard_trinomial(self):
         # brute force: the recursion with these taps has period exactly 7
         assert naive_lfsr_period([1, 1, 0], [1, 0, 0]) == 7
-        assert is_primitive(Gf2Poly(3, (1, 1, 0)))
+        assert is_primitive(0b1011)  # x^3 + x + 1
 
     def test_square_of_x_plus_one(self):
-        assert not is_primitive(Gf2Poly(2, (1, 0)))  # (x+1)^2
+        assert not is_primitive(0b101)  # (x+1)^2
 
     def test_irreducible_but_short_order(self):
         # x^4+x^3+x^2+x+1 divides x^5 - 1: order of x is 5, not 15
-        p = Gf2Poly(4, (1, 1, 1, 1))
-        assert naive_order_of_x(p) == 5
-        assert not is_primitive(p)
+        assert naive_order_of_x(0x1F) == 5
+        assert not is_primitive(0x1F)
 
     def test_degree_out_of_range(self):
         with pytest.raises(SizeError):
-            is_primitive(Gf2Poly(33, (1,) + (0,) * 32))
+            is_primitive((1 << 33) | 1)
 
     def test_matches_brute_force_period(self):
         # every polynomial with a_0 = 1 of degree 2..10: 1,022 of them
         for mask in range(5, 1 << 11, 2):
-            poly = Gf2Poly.from_mask(mask)
-            m = poly.degree
-            full = naive_lfsr_period(list(poly.coeffs), [1] + [0] * (m - 1)) == 2**m - 1
-            assert is_primitive(poly) == full, poly
+            m = mask.bit_length() - 1
+            full = naive_lfsr_period(coeffs_of(mask), [1] + [0] * (m - 1)) == 2**m - 1
+            assert is_primitive(mask) == full, hex(mask)
 
 
 class TestBuiltinTable:

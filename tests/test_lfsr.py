@@ -7,13 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_gf2 import naive_lfsr_period
+from test_gf2 import coeffs_of, naive_lfsr_period
 
-from lqmc.cud_core import (MAX_M, Gf2Poly, LfsrConfig, builtin_config, builtin_poly,
+from lqmc.cud_core import (MAX_M, LfsrConfig, builtin_config, builtin_poly,
                            generate_cud, is_primitive, lfsr_bitstream, lfsr_period)
 from lqmc.errors import ConfigurationError, SizeError
 
-X3_X_1 = Gf2Poly(3, (1, 1, 0))
+X3_X_1 = 0b1011  # x^3 + x + 1
+
+
+def start(m):
+    """The register's fixed start (1, 0, ..., 0)."""
+    return [1] + [0] * (m - 1)
 
 
 def oracle_bits(coeffs, seed, count):
@@ -27,19 +32,22 @@ def oracle_bits(coeffs, seed, count):
 
 class TestBitstream:
     def test_matches_hand_recursion(self):
-        cfg = LfsrConfig(X3_X_1, offset=1, seed=(1, 0, 0))
+        cfg = LfsrConfig(X3_X_1, offset=1)
         got = lfsr_bitstream(cfg, 20)
         assert got.tolist() == oracle_bits([1, 1, 0], [1, 0, 0], 20)
         assert lfsr_period(cfg) == 7
 
     def test_all_ones_seed_never_hits_zero_state(self):
-        cfg = LfsrConfig(X3_X_1, offset=1, seed=(1, 1, 1))
-        bits = lfsr_bitstream(cfg, 64)
-        windows = [tuple(bits[i : i + 3]) for i in range(61)]
+        # another start only rotates the period: the stream seeded at all
+        # ones is the fixed start's stream read from its all-ones window
+        bits = lfsr_bitstream(LfsrConfig(X3_X_1, offset=1), 7 + 64).tolist()
+        k = next(i for i in range(7) if bits[i : i + 3] == [1, 1, 1])
+        assert bits[k : k + 64] == oracle_bits([1, 1, 0], [1, 1, 1], 64)
+        windows = [tuple(bits[i : i + 3]) for i in range(7 + 61)]
         assert (0, 0, 0) not in windows
 
     def test_m4_windows_enumerate_nonzero_patterns(self):
-        cfg = LfsrConfig(Gf2Poly.from_mask(0x13), offset=1, seed=(1, 0, 0, 0))
+        cfg = LfsrConfig(0x13, offset=1)
         bits = lfsr_bitstream(cfg, 15 + 3)
         windows = {tuple(bits[i : i + 4]) for i in range(15)}
         assert len(windows) == 15
@@ -55,16 +63,11 @@ class TestBitstream:
 
 @st.composite
 def _register(draw, primitive=None):
-    """(coeffs, seed) of a register of order m <= 10; table (primitive) or random taps."""
+    """The mask of a register of order m <= 10; table (primitive) or random taps."""
     m = draw(st.integers(2, 10))
     if m >= 3 and (draw(st.booleans()) if primitive is None else primitive):
-        coeffs = builtin_poly(m).coeffs
-    else:
-        coeffs = (1,) + tuple(draw(st.lists(st.integers(0, 1), min_size=m - 1,
-                                            max_size=m - 1)))
-    seed = tuple(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)
-                      .filter(any)))
-    return coeffs, seed
+        return builtin_poly(m)
+    return (1 << m) | (draw(st.integers(0, (1 << (m - 1)) - 1)) << 1) | 1
 
 
 class TestLaneStepper:
@@ -72,26 +75,24 @@ class TestLaneStepper:
 
     @settings(max_examples=80, deadline=None)
     @given(_register(), st.data())
-    def test_bitstream_matches_oracle(self, register, data):
-        coeffs, seed = register
-        m = len(coeffs)
+    def test_bitstream_matches_oracle(self, mask, data):
+        m = mask.bit_length() - 1
         count = data.draw(st.integers(0, 3 * 2**m + 2 * m))  # beyond the period
-        cfg = LfsrConfig(Gf2Poly(m, coeffs), offset=1, seed=seed)
-        assert lfsr_bitstream(cfg, count).tolist() == oracle_bits(coeffs, seed, count)
+        cfg = LfsrConfig(mask, offset=1)
+        assert lfsr_bitstream(cfg, count).tolist() == oracle_bits(coeffs_of(mask), start(m),
+                                                                  count)
 
     @settings(max_examples=60, deadline=None)
-    @given(_register(primitive=False).filter(
-        lambda r: not is_primitive(Gf2Poly(len(r[0]), r[0]))))
-    def test_period_of_non_primitive_matches_naive(self, register):
-        coeffs, seed = register
-        cfg = LfsrConfig(Gf2Poly(len(coeffs), coeffs), offset=1, seed=seed)
-        assert lfsr_period(cfg) == naive_lfsr_period(list(coeffs), list(seed))
+    @given(_register(primitive=False).filter(lambda mask: not is_primitive(mask)))
+    def test_period_of_non_primitive_matches_naive(self, mask):
+        cfg = LfsrConfig(mask, offset=1)
+        assert lfsr_period(cfg) == naive_lfsr_period(coeffs_of(mask), start(cfg.m))
 
     @pytest.mark.parametrize("m", range(3, 13))
     def test_cud_matches_window_formula(self, m):
         n = 2**m - 1
         cfg = builtin_config(m)
-        bits = np.array(oracle_bits(cfg.poly.coeffs, cfg.seed, n + m - 1))
+        bits = np.array(oracle_bits(coeffs_of(cfg.poly_mask), start(m), n + m - 1))
         for s in (s for s in range(1, 20) if math.gcd(s, n) == 1):
             starts = np.arange(n) * s % n
             expected = np.zeros(n)
@@ -110,13 +111,17 @@ class TestLaneStepper:
 
 
 class TestConfigValidation:
-    def test_all_zero_seed(self):
-        with pytest.raises(ConfigurationError):
-            LfsrConfig(X3_X_1, seed=(0, 0, 0))
+    def test_rejects_even_constant_term(self):
+        with pytest.raises(ConfigurationError, match="a_0"):
+            LfsrConfig(0b1110)  # x^3 + x^2 + x: x divides it
+
+    def test_rejects_degree_below_two(self):
+        with pytest.raises(ConfigurationError, match="degree"):
+            LfsrConfig(0b11, offset=1)  # x + 1
 
     def test_offset_must_be_coprime(self):
         with pytest.raises(ConfigurationError):
-            LfsrConfig(builtin_config(4).poly, offset=3)  # gcd(3, 15) = 3
+            LfsrConfig(builtin_config(4).poly_mask, offset=3)  # gcd(3, 15) = 3
 
     def test_offset_must_be_positive(self):
         with pytest.raises(ConfigurationError):
@@ -124,14 +129,14 @@ class TestConfigValidation:
 
     def test_default_seed_and_offset(self):
         cfg = builtin_config(6)
-        assert cfg.seed == (1, 0, 0, 0, 0, 0)
+        assert lfsr_bitstream(cfg, 6).tolist() == [1, 0, 0, 0, 0, 0]
         assert cfg.offset == 2
         assert math.gcd(cfg.offset, cfg.period) == 1
 
 
 class TestGenerateCud:
     def test_m3_values_from_bit_windows(self):
-        cfg = LfsrConfig(X3_X_1, offset=1, seed=(1, 0, 0))
+        cfg = LfsrConfig(X3_X_1, offset=1)
         bits = oracle_bits([1, 1, 0], [1, 0, 0], 16)
         expected = [
             sum(bits[i + j] * 2.0 ** -(j + 1) for j in range(3)) for i in range(7)
@@ -142,7 +147,7 @@ class TestGenerateCud:
         assert set(seq.values) <= {k / 8 for k in range(1, 8)}
 
     def test_offset_respects_decimation(self):
-        cfg = LfsrConfig(X3_X_1, offset=2, seed=(1, 0, 0))
+        cfg = LfsrConfig(X3_X_1, offset=2)
         bits = oracle_bits([1, 1, 0], [1, 0, 0], 32)
         expected = [
             sum(bits[2 * i + j] * 2.0 ** -(j + 1) for j in range(3)) for i in range(7)
@@ -157,8 +162,8 @@ class TestGenerateCud:
         assert np.array_equal(np.sort(seq.values), np.arange(1, n + 1) / 2**m)
 
     def test_non_primitive_poly_rejected(self):
-        with pytest.raises(ConfigurationError):
-            generate_cud(LfsrConfig(Gf2Poly(4, (1, 1, 1, 1)), offset=1))
+        with pytest.raises(ConfigurationError, match="polynomial 0x1f is not primitive"):
+            generate_cud(LfsrConfig(0x1F, offset=1))
 
     def test_pure_function_of_config(self):
         a = generate_cud(builtin_config(9))

@@ -273,14 +273,12 @@ class TestReferenceGroundTruth:
         with pytest.raises(ConfigurationError):
             reference_ground_truth(pot, h=0.1, n_steps=10, n_chains=2, seed=0)
 
-    @pytest.mark.parametrize("n_chains, discard_fraction",
-                             [(0, 0.125), (1, 0.125), (2, 1.0)])
-    def test_refuses_no_standard_error_or_no_kept_steps(self, n_chains,
-                                                        discard_fraction):
+    @pytest.mark.parametrize("n_chains, n_steps", [(0, 100), (1, 100), (2, 0)])
+    def test_refuses_no_standard_error_or_no_kept_steps(self, n_chains, n_steps):
         pot = standard_gaussian_potential(1)
         with pytest.raises(ConfigurationError):
-            reference_ground_truth(pot, h=0.05, n_steps=100, n_chains=n_chains,
-                                   seed=0, discard_fraction=discard_fraction)
+            reference_ground_truth(pot, h=0.05, n_steps=n_steps, n_chains=n_chains,
+                                   seed=0)
 
     def test_deterministic(self):
         pot = standard_gaussian_potential(1)
