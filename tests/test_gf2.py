@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lqmc.cud_core import builtin_poly, factorize, is_primitive
+from lqmc.cud_core import LfsrConfig, builtin_poly, factorize, is_primitive
 from lqmc.errors import ConfigurationError, SizeError
 
 
@@ -60,6 +60,18 @@ def naive_order_of_x(mask):
             return k
         acc = naive_polymul_mod(acc, x, f)
     return None
+
+
+class TestGf2Poly:
+    """Polynomial masks that no generator can have, refused by LfsrConfig."""
+
+    def test_rejects_even_constant_term(self):
+        with pytest.raises(ConfigurationError, match="a_0"):
+            LfsrConfig(0b1110)  # x^3 + x^2 + x: x divides it
+
+    def test_rejects_degree_below_two(self):
+        with pytest.raises(ConfigurationError, match="degree"):
+            LfsrConfig(0b11, offset=1)  # x + 1
 
 
 class TestIsPrimitive:

@@ -111,14 +111,6 @@ class TestLaneStepper:
 
 
 class TestConfigValidation:
-    def test_rejects_even_constant_term(self):
-        with pytest.raises(ConfigurationError, match="a_0"):
-            LfsrConfig(0b1110)  # x^3 + x^2 + x: x divides it
-
-    def test_rejects_degree_below_two(self):
-        with pytest.raises(ConfigurationError, match="degree"):
-            LfsrConfig(0b11, offset=1)  # x + 1
-
     def test_offset_must_be_coprime(self):
         with pytest.raises(ConfigurationError):
             LfsrConfig(builtin_config(4).poly_mask, offset=3)  # gcd(3, 15) = 3
