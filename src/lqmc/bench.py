@@ -33,7 +33,7 @@ from .models import (GroundTruth, closed_form_posterior,
                      synthesize_data)
 from .prng import BaselinePrng
 from .samplers import (ChainBatch, ChainConfig, ConstantSchedule, PseudoRandomDrive,
-                       continue_chain, contraction_info, run_chain)
+                       continue_chain, contraction_info, run_chain, sample_means)
 
 # Stream-id roles, combined as ((sched_idx * 8 + role) << 40) | (m << 20) | r;
 # the spec loader keeps r below experiment.MAX_REPLICATES = 2**20.
@@ -190,20 +190,6 @@ def _cell_chains(spec, schedule, sched_idx, m, shift_rngs, seq, n, start, theta0
         for x, (drive, role, r) in zip(theta0, lmc + lqmc))
 
 
-def _cell_means(potential, batch: ChainBatch) -> dict[str, np.ndarray]:
-    """Per-chain averages of theta, theta**2 and 1{theta > 0} (one (chains, d)
-    array per test-function kind) over the batch's steps."""
-    sums = np.zeros((3, len(batch.chains), potential.dim))
-
-    def observe(block):
-        sums[0] += block.sum(axis=0)
-        sums[1] += (block**2).sum(axis=0)
-        sums[2] += (block > 0).sum(axis=0)
-
-    run_chain(potential, batch, observe)
-    return dict(zip(TEST_FUNCTIONS, sums / batch.chains[0].n_steps))
-
-
 def _dump(potential, phases, path) -> None:
     """Re-run one chain alone, phase after phase, and write its whole trajectory."""
     run = run_chain(potential, phases[0])
@@ -280,7 +266,7 @@ def run_comparison(
             batches.append(ChainBatch(_cell_chains(
                 spec, schedule, sched_idx, m, shift_rngs, main_seq, n_run, 1 + spec.burn_in_n,
                 theta0), names))
-            means = _cell_means(potential, batches[-1])
+            means = dict(zip(TEST_FUNCTIONS, sample_means(potential, batches[-1])))
             steps += sum(batch.n_steps for batch in batches)
             if trajectory_dir is not None:
                 for i, (method, r) in enumerate(keys):

@@ -21,7 +21,7 @@ from .cud_core import (PointSet, builtin_config, generate_cud,
 from .drive import build_drive_matrix
 from .errors import (ConfigurationError, DataError, DivergenceError,
                      DomainError, LqmcError, SizeError, SpecError)
-from .experiment import ExperimentSpec, ScheduleSpec, load_spec
+from .experiment import M_RANGE, ExperimentSpec, ScheduleSpec, load_spec
 from .prng import BaselinePrng
 from .samplers import PseudoRandomDrive, contraction_info, coupling_diagnostic
 
@@ -173,6 +173,8 @@ def _read_points(path, dim: int) -> PointSet:
 
 
 def _cmd_discrepancy(args) -> int:
+    if args.compare_iid is not None and args.compare_iid < 1:
+        raise ConfigurationError(f"--compare-iid needs R >= 1, got {args.compare_iid}")
     points = _read_points(args.points, args.dim)
     disc = star_discrepancy_1d if args.dim == 1 else star_discrepancy_2d
     value = disc(points)
@@ -201,17 +203,13 @@ def _cmd_run(args) -> int:
         os.makedirs(args.dump_trajectories, exist_ok=True)
     report = bench.run_comparison(spec, truth=truth, trajectory_dir=args.dump_trajectories)
     output = args.output or spec.output
-    if output is None:
-        sys.stdout.write(report.to_csv())
-    else:
-        with open(output, "w") as fh:
-            fh.write(report.to_csv())
+    _emit(report.to_csv(), output)
+    if output is not None:
         with open(output + ".meta.yaml", "w") as fh:
             yaml.safe_dump(report.metadata, fh, sort_keys=True)
         print(f"report -> {output} (+ .meta.yaml)", file=sys.stderr)
     if args.per_replicate is not None:
-        with open(args.per_replicate, "w") as fh:
-            fh.write(report.replicate_csv())
+        _emit(report.replicate_csv(), args.per_replicate)
     return EXIT_OK
 
 
@@ -221,7 +219,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    if args.model == "quadratic":
+    if args.model == "quadratic":  # the other models are checked by their spec
+        if args.m not in M_RANGE:
+            raise SpecError(f"-m must be in {M_RANGE.start}..{M_RANGE[-1]}, got {args.m}")
+        if args.dim < 1:
+            raise ConfigurationError(f"--dim must be >= 1, got {args.dim}")
         potential = models.standard_gaussian_potential(args.dim)
     else:
         potential, _ = bench.build_model(ExperimentSpec(

@@ -4,15 +4,16 @@ Each target is a ``Potential``: the negative log-density U with its
 gradient (and, where available, per-datum gradients for stochastic
 updates, a batched gradient for reference runs, and smoothness/convexity
 constants).  Ground truth for the estimators comes from a closed form
-(Gaussian posterior), adaptive quadrature (double well), or a long
-small-step reference chain averaged over independent seeds.
+(Gaussian posterior), adaptive quadrature (double well), or long
+small-step reference chains, stepped by the sampler's ``run_chain`` and
+averaged by its ``sample_means``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -20,8 +21,10 @@ from scipy.integrate import quad
 from scipy.special import expit, ndtr
 
 from .drive import clamped_normal
-from .errors import ConfigurationError, DataError, DivergenceError, DomainError
+from .errors import ConfigurationError, DataError, DomainError
 from .prng import BaselinePrng
+from .samplers import (ChainBatch, ChainConfig, ConstantSchedule, PseudoRandomDrive,
+                       run_chain, sample_means)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +90,14 @@ class GroundTruth:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "GroundTruth":
-        arrays = {name: None if payload[name] is None else np.array(payload[name])
-                  for name in cls._ARRAYS}
+        """KeyError for a missing field, ValueError for one not a list of numbers."""
+        arrays = {name: payload[name] for name in cls._ARRAYS}
+        for name, value in arrays.items():
+            if value is None and name.endswith("_se"):
+                continue
+            if not (isinstance(value, list) and all(type(v) in (int, float) for v in value)):
+                raise ValueError(f"has field {name!r} = {json.dumps(value)}, not a list of numbers")
+            arrays[name] = np.array(value, dtype=np.float64)
         return cls(provenance=payload["provenance"],
                    error_estimate=payload["error_estimate"], **arrays)
 
@@ -455,9 +464,10 @@ def load_ground_truth(path, key: dict | None = None) -> GroundTruth:
         return GroundTruth.from_dict(payload)
     except KeyError as exc:
         raise DataError(f"{path} has no field {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"{path} {exc}") from exc
 
 
-_REFERENCE_CHUNK = 4096  # reference steps per noise block and partial sum
 _REFERENCE_STREAM = 777  # the baseline stream, under the truth's seed, of its noise
 _REFERENCE_DISCARD = 0.125  # leading share of each reference chain left out as burn-in
 
@@ -471,15 +481,15 @@ def reference_ground_truth(
 ) -> GroundTruth:
     """Long small-step chains as a ground-truth oracle.
 
-    Runs ``n_chains`` independent plain-Langevin chains side by side from
-    the origin (one baseline stream, partitioned by chain), discards the
-    leading ``_REFERENCE_DISCARD`` share, and averages the three
-    test-function families over the rest.  Standard errors are across chains: each is the spread of
-    ``n_chains`` per-chain averages, so it has ``n_chains - 1`` degrees of
-    freedom and (estimate - truth) / se is Student-t, not normal.  This is
-    a separate vectorized implementation, not the sequential sampler under
-    test.  Raises ``ConfigurationError`` for fewer than two chains or
-    fewer than one step.
+    Runs ``n_chains`` independent plain-Langevin chains from the origin as
+    one chain of the product potential U(x_1) + ... + U(x_s) through the
+    sampler's ``run_chain``, each step reading its uniforms chain by chain
+    from one baseline stream.  After the leading ``_REFERENCE_DISCARD``
+    share, ``sample_means`` averages the three test-function families.
+    Standard errors are across chains: each is the spread of ``n_chains``
+    per-chain averages, so it has ``n_chains - 1`` degrees of freedom and
+    (estimate - truth) / se is Student-t, not normal.  Raises
+    ``ConfigurationError`` for fewer than two chains or fewer than one step.
     """
     if potential.grad_batch is None:
         raise ConfigurationError("reference runs need a batched gradient")
@@ -489,33 +499,19 @@ def reference_ground_truth(
     if n_steps < 1:
         raise ConfigurationError(f"reference runs need n_steps >= 1, got {n_steps}")
     discard = int(_REFERENCE_DISCARD * n_steps)
-    d = potential.dim
-    s = n_chains
-    rng = BaselinePrng(seed, _REFERENCE_STREAM)
-    theta = np.zeros((s, d))
-    sq2h = np.sqrt(2.0 * h)
-    sums = np.zeros((3, s, d))
-    kept = 0
-    done = 0
-    while done < n_steps:
-        b = min(_REFERENCE_CHUNK, n_steps - done)
-        noise = clamped_normal(rng.uniform(b * s * d)).reshape(b, s, d)
-        noise *= sq2h
-        block = np.empty((b, s, d))
-        for k in range(b):
-            theta = theta - h * potential.grad_batch(theta) + noise[k]
-            block[k] = theta
-        if not np.all(np.abs(theta) < 1e8):
-            raise DivergenceError(done + b, "reference chain diverged")
-        done += b
-        lo = max(0, discard - (done - b))
-        if lo < b:
-            tail = block[lo:]
-            sums[0] += tail.sum(axis=0)
-            sums[1] += (tail**2).sum(axis=0)
-            sums[2] += (tail > 0).sum(axis=0)
-            kept += b - lo
-    per_chain = sums / kept  # (3, s, d)
+    d, s = potential.dim, n_chains
+
+    def grad(th):  # an (s * d) point or a stack of them
+        return potential.grad_batch(th.reshape(-1, d)).reshape(th.shape)
+
+    product = Potential(dim=s * d, grad=grad, grad_batch=grad, name=potential.name,
+                        value=lambda th: sum(map(potential.value, th.reshape(-1, d))))
+    burn = ChainConfig(np.zeros(s * d), discard, ConstantSchedule(h),
+                       PseudoRandomDrive(seed, _REFERENCE_STREAM))
+    theta0 = run_chain(product, ChainBatch((burn,), ("reference chain",)))[0]
+    rest = replace(burn, theta0=theta0, n_steps=n_steps - discard, schedule_start=discard + 1)
+    per_chain = sample_means(product, ChainBatch((rest,), ("reference chain",)))
+    per_chain = per_chain.reshape(3, s, d)
     mean = per_chain.mean(axis=1)
     se = per_chain.std(axis=1, ddof=1) / np.sqrt(s)
     return GroundTruth(

@@ -275,6 +275,20 @@ def run_chain(potential, config, observe=None) -> ChainRun | np.ndarray:
     return theta if traj is None else ChainRun(traj, config, potential)
 
 
+def sample_means(potential, batch: ChainBatch) -> np.ndarray:
+    """Per-chain averages of theta, theta**2 and 1{theta > 0} (the coordinate,
+    square and indicator test functions) over the batch's steps, (3, B, d)."""
+    sums = np.zeros((3, len(batch.chains), potential.dim))
+
+    def observe(block):
+        sums[0] += block.sum(axis=0)
+        sums[1] += (block**2).sum(axis=0)
+        sums[2] += (block > 0).sum(axis=0)
+
+    run_chain(potential, batch, observe)
+    return sums / batch.chains[0].n_steps
+
+
 def continue_chain(run: ChainRun, next_drive: Drive, extra_n: int) -> ChainRun:
     """Extend a finished run from its final state with a fresh drive.
 

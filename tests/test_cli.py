@@ -130,6 +130,16 @@ class TestDiscrepancy:
         assert code == EXIT_OK
         assert "iid_median=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("sets", ["0", "-1"])
+    def test_iid_comparison_needs_a_set(self, tmp_path, capsys, sets):
+        f = tmp_path / "pts.csv"
+        f.write_text("0.5,0.5\n")
+        code = run_cli("discrepancy", str(f), "--dim", "2", "--compare-iid", sets)
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--compare-iid needs R >= 1, got {sets}" in captured.err
+
 
 class TestRun:
     SPEC = """
@@ -268,7 +278,12 @@ truth: {h: 0.001, n_steps: 1024, chains: 2, seed: 5}
         (lambda saved: json.dumps({k: v for k, v in saved.items() if k != "second_moment"}),
          "has no field 'second_moment'"),
         (lambda saved: json.dumps([saved]), "holds a JSON list, not a truth object"),
-    ], ids=["other_model", "other_data_seed", "truncated", "no_second_moment", "json_list"])
+        (lambda saved: json.dumps({**saved, "second_moment": None}),
+         "has field 'second_moment' = null, not a list of numbers"),
+        (lambda saved: json.dumps({**saved, "mean": "abcd"}),
+         "has field 'mean' = \"abcd\", not a list of numbers"),
+    ], ids=["other_model", "other_data_seed", "truncated", "no_second_moment", "json_list",
+            "null_second_moment", "string_mean"])
     def test_truth_made_for_another_spec_is_recomputed(self, tmp_path, capsys, first, stored):
         cache = tmp_path / "truth.json"
         (tmp_path / "spec.yaml").write_text(self.LINEAR % 4)
@@ -340,3 +355,19 @@ class TestDiagnose:
             code = run_cli("diagnose", "--model", "quadratic", "--dim", "1",
                            "--h", "1.5", "--steps", "3")
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("model", ["quadratic", "linear"])
+    @pytest.mark.parametrize("flag, value", [
+        ("-m", "-1"), ("-m", "2"), ("-m", str(MAX_M + 1)), ("-m", "40"),
+        ("--dim", "0"), ("--dim", "-2"),
+    ])
+    def test_bad_order_or_dimension_exits_2(self, capsys, model, flag, value):
+        assert run_cli("diagnose", "--model", model, "--h", "0.01", "--steps", "3",
+                       flag, value) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error (diagnose): ")
+
+    def test_order_range_ends_are_accepted(self, capsys):
+        for m in (3, MAX_M):
+            assert run_cli("diagnose", "--h", "0.5", "--steps", "1", "-m", str(m)) == EXIT_OK
+            assert f"gcd(d*ell, 2^{m}-1)=" in capsys.readouterr().out

@@ -1,9 +1,13 @@
 """Benchmark targets: gradients, closed forms, quadrature, reference runs."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
-from lqmc.errors import ConfigurationError, DataError
+from lqmc.drive import clamped_normal
+from lqmc.errors import ConfigurationError, DataError, DivergenceError
 from lqmc.models import (GroundTruth, Potential, SyntheticDataset,
                          closed_form_posterior, covariance_matrix,
                          crossed_effects_potential, double_well_potential,
@@ -13,6 +17,7 @@ from lqmc.models import (GroundTruth, Potential, SyntheticDataset,
                          reference_ground_truth, save_ground_truth,
                          standard_gaussian_potential, synthesize_data)
 from lqmc.models import _dw_moment_hermite, _dw_moment_quad
+from lqmc.prng import BaselinePrng
 
 
 class TestSynthesizeData:
@@ -248,6 +253,26 @@ class TestGroundTruthIO:
         assert np.array_equal(back.mean, gt.mean)
         assert np.array_equal(back.positive_prob_se, gt.positive_prob_se)
 
+    def test_standard_errors_may_be_null(self, tmp_path):
+        path = tmp_path / "truth.json"
+        save_ground_truth(double_well_truth(), path)
+        back = load_ground_truth(path)
+        assert back.mean_se is None
+        assert np.array_equal(back.second_moment, double_well_truth().second_moment)
+
+    @pytest.mark.parametrize("field, value", [
+        ("second_moment", None), ("mean", "abcd"), ("mean", [[0.0]]), ("mean", [True]),
+        ("positive_prob", ["0.5"]), ("mean_se", 0.1), ("positive_prob_se", [None]),
+    ])
+    def test_field_that_is_not_a_list_of_numbers(self, tmp_path, field, value):
+        path = tmp_path / "truth.json"
+        save_ground_truth(double_well_truth(), path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, field: value}))
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))} has field "
+                                            rf"'{field}' = .*, not a list of numbers$"):
+            load_ground_truth(path)
+
     def test_values_accessor(self):
         gt = double_well_truth()
         assert gt.values("square")[0] == gt.second_moment[0]
@@ -279,6 +304,51 @@ class TestReferenceGroundTruth:
         with pytest.raises(ConfigurationError):
             reference_ground_truth(pot, h=0.05, n_steps=n_steps, n_chains=n_chains,
                                    seed=0)
+
+    @staticmethod
+    def _hand_loop(potential, h, n_steps, n_chains, seed):
+        """Per-chain averages, (3, s, d), of the oracle's stream layout, spelled
+        out: step k reads s*d uniforms of stream (seed, 777) chain by chain,
+        noise comes in 4096-step chunks, and the first 1/8 is left out."""
+        s, d = n_chains, potential.dim
+        rng = BaselinePrng(seed, 777)
+        theta, sums, discard = np.zeros((s, d)), np.zeros((3, s, d)), n_steps // 8
+        for lo in range(0, n_steps, 4096):
+            b = min(4096, n_steps - lo)
+            noise = np.sqrt(2 * h) * clamped_normal(rng.uniform(b * s * d)).reshape(b, s, d)
+            for k in range(b):
+                theta = theta - h * potential.grad_batch(theta) + noise[k]
+                if lo + k >= discard:
+                    sums += [theta, theta**2, theta > 0]
+        return sums / (n_steps - discard)
+
+    @pytest.mark.parametrize("name, n_steps", [("gaussian", 5000), ("crossed", 700)])
+    def test_stream_layout(self, name, n_steps):
+        # Past one chunk of the hand loop and several blocks of run_chain;
+        # the burn-in ends mid-block (625 and 87 steps).
+        pot = (standard_gaussian_potential(3) if name == "gaussian" else
+               crossed_effects_potential(synthesize_data("crossed", 3, 2, seed=8).y))
+        gt = reference_ground_truth(pot, h=0.02, n_steps=n_steps, n_chains=3, seed=6)
+        per_chain = self._hand_loop(pot, 0.02, n_steps, 3, 6)
+        for i, kind in enumerate(("coordinate", "square", "indicator")):
+            np.testing.assert_allclose(gt.values(kind), per_chain[i].mean(axis=0),
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(gt.se(kind), per_chain[i].std(axis=0, ddof=1)
+                                       / np.sqrt(3), rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("n_steps", [200, 400])  # burn-in of 25 and of 50 steps
+    def test_divergence_carries_its_iteration(self, n_steps):
+        pot, h = standard_gaussian_potential(2), 3.0  # theta <- -2 theta + noise
+        rng, theta, first = BaselinePrng(4, 777), np.zeros(4), None
+        for k in range(1, n_steps + 1):
+            theta = theta - h * theta + np.sqrt(2 * h) * clamped_normal(rng.uniform(4))
+            if theta @ theta > 1e16:
+                first = k
+                break
+        assert first == 27
+        with pytest.raises(DivergenceError, match="iteration 27$") as exc:
+            reference_ground_truth(pot, h=h, n_steps=n_steps, n_chains=2, seed=4)
+        assert exc.value.iteration == first
 
     def test_deterministic(self):
         pot = standard_gaussian_potential(1)
