@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 
@@ -16,7 +17,7 @@ import numpy as np
 import yaml
 
 from . import bench, models
-from .cud_core import (PointSet, builtin_config, generate_cud,
+from .cud_core import (MAX_M, PointSet, builtin_config, generate_cud,
                        star_discrepancy_1d, star_discrepancy_2d, table_listing)
 from .drive import build_drive_matrix
 from .errors import (ConfigurationError, DataError, DivergenceError,
@@ -77,12 +78,23 @@ def _build_parser() -> argparse.ArgumentParser:
                       choices=("quadratic", "linear", "logistic", "crossed", "double_well"))
     diag.add_argument("--h", type=float, required=True)
     diag.add_argument("--steps", type=int, default=50)
-    diag.add_argument("--dim", type=int, default=2)
-    diag.add_argument("--n-obs", type=int, default=20)
-    diag.add_argument("--data-seed", type=int, default=1)
+    diag.add_argument("--dim", type=int, default=None,
+                      help="dimension (default 2; not with double_well)")
+    diag.add_argument("--n-obs", type=int, default=None,
+                      help="observations of the synthetic data (default 20; "
+                           "linear, logistic, crossed)")
+    diag.add_argument("--data-seed", type=int, default=None,
+                      help="seed of the synthetic data (default 1; linear, logistic, crossed)")
     diag.add_argument("-m", type=int, default=14,
                       help="period exponent used for the gcd diagnostic")
     return parser
+
+
+def _refuse(args, options, why: str) -> None:
+    """Refuse each of ``options`` that was given: it would be silently ignored."""
+    for option in options:
+        if getattr(args, option.lstrip("-").replace("-", "_")) is not None:
+            raise ConfigurationError(f"{args.command} {option} has no effect {why}")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -105,9 +117,7 @@ def _cmd_gen(args) -> int:
         ignored, why = ("--count",), "with --matrix"
     else:
         ignored, why = ("--shift-seed",), "without --matrix"
-    for option in ignored:  # refused rather than silently ignored
-        if getattr(args, option.lstrip("-").replace("-", "_")) is not None:
-            raise ConfigurationError(f"gen {option} has no effect {why}")
+    _refuse(args, ignored, why)
     if args.table:
         _emit(table_listing(), args.output)
         return EXIT_OK
@@ -124,27 +134,121 @@ def _cmd_gen(args) -> int:
         matrix = build_drive_matrix(seq, args.matrix, rng=rng)
         print(f"matrix {matrix.n}x{matrix.d} (stored width {matrix.d_stored})",
               file=sys.stderr)
-        _write_csv(matrix.rows, matrix.n, matrix.d, args.output)
+        _write_csv(matrix.rows, matrix.n, matrix.d, args.m, args.output)
         return EXIT_OK
     count = n if args.count is None else args.count
     if not 1 <= count <= n:
         raise ConfigurationError(f"count must be in 1..{n}")
-    _write_csv(lambda lo, hi: seq.values[lo:hi], count, 1, args.output)
+    _write_csv(lambda lo, hi: seq.values[lo:hi, None], count, 1, args.m, args.output)
     return EXIT_OK
 
 
-_CSV_BLOCK = 1 << 16  # values formatted and written at a time
+# Values formatted and written at a time.  The temporaries of a block stay in
+# the heap: three `gen -m 20` calls in one process (perfbench `gen`, 2 vCPUs)
+# peaked at 111.1, 112.2, 114.2 and 117.9 MiB with blocks of 2^12 to 2^15,
+# against 113.5 MiB for per-value "%.17g" in 2^16 blocks; blocks of 2^12 were
+# about 10 % slower.
+_CSV_BLOCK = 1 << 13
 
 
-def _write_csv(rows, n: int, width: int, output: str | None) -> None:
-    """Write ``rows(lo, hi)`` for 0 <= lo < hi <= n as "%.17g" CSV, block by block."""
+def _write_csv(rows, n: int, width: int, m: int, output: str | None) -> None:
+    """Write the (hi - lo, width) arrays ``rows(lo, hi)`` for 0 <= lo < hi <= n
+    as "%.17g" CSV, block by block.
+
+    A block whose values are all k/2^m with 0 < k (the sequence, the unshifted
+    matrix) goes through ``_format_dyadic``; any other block, such as a shifted
+    matrix on the 2^-52 grid, is formatted value by value.
+    """
     block = max(1, _CSV_BLOCK // width)
     line = ",".join(["%.17g"] * width) + "\n"
     with (contextlib.nullcontext(sys.stdout) if output is None
           else open(output, "w")) as fh:
         for lo in range(0, n, block):
             values = rows(lo, min(lo + block, n))
-            fh.write(line * len(values) % tuple(values.ravel().tolist()))
+            scaled = values * 2.0**m
+            k = scaled.astype(np.int64)
+            if np.array_equal(k, scaled) and k.min() > 0:
+                fh.write(_format_dyadic(k, m).decode("ascii"))
+            else:
+                fh.write(line * len(values) % tuple(values.ravel().tolist()))
+
+
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+@functools.cache  # built on first use, so that the other commands do not pay for it
+def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Little-endian ASCII words, padded with NULs, for ``_format_dyadic``.
+
+    - digits, at g and 10^4 + g: the 4-digit group g in full, and with its
+      trailing zeros (all of "0000") as NULs for the groups from a number's
+      last nonzero one on;
+    - prefix, at (e * 10 + d) * 2 + more: the start of a value 10^-e <= v <
+      10^(1-e) with leading digit d: "0." and e - 1 zeros before d for
+      e <= 4, else (where "%g" switches to d.ddde-XX) d and, if more digits
+      follow, the point;
+    - exponent, at e: "e-XX" for e > 4, else nothing.
+    """
+    g = np.arange(10_000, dtype=np.uint32)
+    digits = np.zeros((2, len(g)), np.uint32)
+    for j in range(4):  # byte j is the j-th digit from the left
+        char = (48 + g // 10 ** (3 - j) % 10) << 8 * j
+        digits[0] |= char
+        digits[1] |= char * (g % 10 ** (4 - j) != 0)
+    prefix = np.array([int.from_bytes(b"0." + b"0" * (e - 1) + b"%d" % d if e <= 4
+                                      else b"%d" % d + b"." * more, "little")
+                       for e in range(MAX_M + 1) for d in range(10) for more in (0, 1)],
+                      np.uint64)
+    exponent = np.array([int.from_bytes(b"e-%02d" % e, "little") if e > 4 else 0
+                         for e in range(MAX_M + 1)], np.uint32)
+    return digits.ravel(), prefix, exponent
+
+
+def _format_dyadic(k: np.ndarray, m: int) -> bytes:
+    """The "%.17g" CSV of k/2^m, one row of the 2-D ``k`` per line, for 0 < k < 2^m.
+
+    k/2^m = D / 10^m with D = k 5^m, an integer of at most m <= MAX_M = 26
+    digits, carried as hi 10^9 + lo in int64.  Rounding D half to even to 17
+    significant digits drops at most 9 of them, all from lo.  No value rounds
+    up to a power of ten: |k 10^j - 2^m| >= 1 puts every k/2^m at least 2^-m
+    (relatively) away from one.  Each value fills 32 bytes (prefix, four
+    4-digit words, exponent, separator) padded with NULs, which are dropped
+    at the end, so no Python code runs per value.
+    """
+    flat = k.ravel()
+    five_hi, five_lo = divmod(5**m, 10**9)
+    lo = flat * five_lo
+    hi = flat * five_hi + lo // 10**9
+    lo %= 10**9
+    # D has more than j digits where k >= 10^j / 5^m
+    digits = np.searchsorted([-(-10**j // 5**m) for j in range(m)], flat, "right")
+    dropped = np.maximum(digits - 17, 0)
+    unit = _POW10[dropped]
+    cut, tail = np.divmod(lo, unit)
+    q = hi * _POW10[9 - dropped] + cut
+    q += 2 * tail + q % 2 > unit  # round half to even
+    q *= _POW10[17 - digits + dropped]  # exactly 17 digits
+    lead, rest = divmod(q, 10**16)
+    top, bottom = divmod(rest, 10**8)
+    group = np.empty((len(flat), 4), np.int64)
+    group[:, 0], group[:, 1] = divmod(top, 10**4)
+    group[:, 2], group[:, 3] = divmod(bottom, 10**4)
+    # from the last nonzero group on, trailing zeros are dropped
+    group[:, 0] += 10**4 * (rest % 10**12 == 0)
+    group[:, 1] += 10**4 * (bottom == 0)
+    group[:, 2] += 10**4 * (group[:, 3] == 0)
+    group[:, 3] += 10**4
+
+    digit_words, prefix, exponent = _format_tables()
+    e = m + 1 - digits
+    buf = np.empty((len(flat), 8), "<u4")
+    buf.view("<u8")[:, 0] = prefix.take((e * 10 + lead) * 2 + (rest != 0))
+    buf[:, 2:6] = digit_words.take(group)
+    buf[:, 6] = exponent.take(e)
+    sep = buf.reshape(*k.shape, 8)[..., 7]
+    sep[:] = ord(",")
+    sep[:, -1] = ord("\n")
+    return buf.tobytes().translate(None, b"\0")
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +323,21 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    _refuse(args, {"quadratic": ("--n-obs", "--data-seed"),
+                   "double_well": ("--dim", "--n-obs", "--data-seed")}.get(args.model, ()),
+            f"with --model {args.model}")
+    dim = 2 if args.dim is None else args.dim
+    n_obs = 20 if args.n_obs is None else args.n_obs
+    data_seed = 1 if args.data_seed is None else args.data_seed
     if args.model == "quadratic":  # the other models are checked by their spec
         if args.m not in M_RANGE:
             raise SpecError(f"-m must be in {M_RANGE.start}..{M_RANGE[-1]}, got {args.m}")
-        if args.dim < 1:
-            raise ConfigurationError(f"--dim must be >= 1, got {args.dim}")
-        potential = models.standard_gaussian_potential(args.dim)
+        if dim < 1:
+            raise ConfigurationError(f"--dim must be >= 1, got {dim}")
+        potential = models.standard_gaussian_potential(dim)
     else:
         potential, _ = bench.build_model(ExperimentSpec(
-            model=args.model, n_obs=args.n_obs, dim=args.dim, data_seed=args.data_seed,
+            model=args.model, n_obs=n_obs, dim=dim, data_seed=data_seed,
             m_values=(args.m,), schedules=(ScheduleSpec(kind="constant", h=args.h),)))
     d = potential.dim
     theta = np.zeros(d)

@@ -1,13 +1,15 @@
 """CLI subcommands, exit codes, and output determinism."""
 
+import io
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
-from lqmc.cli import (EXIT_DIVERGENCE, EXIT_OK, EXIT_VALIDATION, main)
+from lqmc.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_VALIDATION, _format_dyadic, main
 from lqmc.cud_core import MAX_M, builtin_config, generate_cud
 from lqmc.drive import build_drive_matrix, coprime_width
 from lqmc.experiment import load_spec
@@ -83,11 +85,15 @@ class TestGen:
     @pytest.mark.parametrize("argv, rows", [
         (("-m", "17"), None),  # several write blocks
         (("-m", "9", "--count", "100"), None),
+        (("-m", "20", "--offset", "7"), None),
         (("-m", "16", "--matrix", "3"), 3),
+        (("-m", "12", "--matrix", "5"), 5),
         (("-m", "16", "--matrix", "4", "--shift-seed", "7"), 4),
-    ], ids=["sequence", "count", "matrix", "matrix-shifted"])
-    def test_bytes_equal_per_value_formatting(self, tmp_path, capsys, argv, rows):
-        seq = generate_cud(builtin_config(int(argv[1])))
+    ], ids=["sequence", "count", "offset", "matrix", "matrix-5", "matrix-shifted"])
+    def test_bytes_equal_per_value_formatting(self, tmp_path, capsys, monkeypatch,
+                                              argv, rows):
+        offset = int(argv[3]) if "--offset" in argv else None
+        seq = generate_cud(builtin_config(int(argv[1]), offset=offset))
         if rows is None:
             count = int(argv[3]) if "--count" in argv else seq.n
             expected = "".join("%.17g\n" % v for v in seq.values[:count])
@@ -101,6 +107,47 @@ class TestGen:
         assert capsys.readouterr().out == expected
         assert run_cli("--output", str(out), "gen", *argv) == EXIT_OK
         assert out.read_text() == expected
+        text_only = io.StringIO()  # a stdout with no binary .buffer under it
+        monkeypatch.setattr(sys, "stdout", text_only)
+        assert run_cli("gen", *argv) == EXIT_OK
+        assert text_only.getvalue() == expected
+
+
+def _per_value(k, m):
+    return "".join("%.17g\n" % v for v in (np.asarray(k) * 2.0**-m).tolist()).encode()
+
+
+def _rounding_ties(m, rng, count):
+    """Numerators k < 2^m whose k 5^m drops exactly the digits 50...0 when
+    rounded to 17 significant digits: k = odd 2^(t-1) with 17 + t digits."""
+    ties = []
+    for t in range(1, m - 16):
+        half = 1 << (t - 1)
+        lo = -(-10 ** (16 + t) // 5**m)  # k 5^m has 17 + t digits for lo <= k < hi
+        hi = min(-(-10 ** (17 + t) // 5**m), 1 << m)
+        j_lo, j_hi = -((half - lo) >> t), -((half - hi) >> t)  # lo <= (2j + 1) half < hi
+        if j_lo < j_hi:
+            ties += [int(2 * j + 1) * half for j in rng.integers(j_lo, j_hi, count)]
+    for k in ties:
+        d = str(k * 5**m)
+        assert len(d) > 17 and d[17:] == "5" + "0" * (len(d) - 18)
+    return ties
+
+
+class TestFormatDyadic:
+    def test_every_numerator(self):
+        for m in range(3, 21):
+            for lo in range(1, 1 << m, 1 << 16):
+                k = np.arange(lo, min(lo + (1 << 16), 1 << m))
+                assert _format_dyadic(k[:, None], m) == _per_value(k, m), (m, lo)
+
+    @pytest.mark.parametrize("m", range(21, MAX_M + 1))
+    def test_ends_sample_and_ties(self, m):
+        rng = np.random.default_rng(m)
+        ties = _rounding_ties(m, rng, 256)
+        k = np.concatenate([np.arange(1, 4097), np.arange((1 << m) - 4096, 1 << m),
+                            rng.integers(1, 1 << m, 1 << 14), ties])
+        assert _format_dyadic(k[:, None], m) == _per_value(k, m)
 
 
 class TestDiscrepancy:
@@ -366,6 +413,29 @@ class TestDiagnose:
                        flag, value) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error (diagnose): ")
+
+    @pytest.mark.parametrize("model, option", [
+        ("double_well", "--dim"), ("double_well", "--n-obs"), ("double_well", "--data-seed"),
+        ("quadratic", "--n-obs"), ("quadratic", "--data-seed"),
+    ])
+    def test_options_its_model_ignores_refused(self, capsys, model, option):
+        assert run_cli("diagnose", "--model", model, "--h", "0.01", "--steps", "3",
+                       option, "5") == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error (diagnose): diagnose {option} has no effect "
+                                f"with --model {model}\n")
+
+    @pytest.mark.parametrize("model, defaults", [
+        ("quadratic", ("--dim", "2")),
+        ("linear", ("--dim", "2", "--n-obs", "20", "--data-seed", "1")),
+    ])
+    def test_options_default_for_the_models_that_read_them(self, capsys, model, defaults):
+        argv = ("diagnose", "--model", model, "--h", "0.01", "--steps", "5")
+        assert run_cli(*argv) == EXIT_OK
+        implicit = capsys.readouterr().out
+        assert run_cli(*argv, *defaults) == EXIT_OK
+        assert capsys.readouterr().out == implicit
 
     def test_order_range_ends_are_accepted(self, capsys):
         for m in (3, MAX_M):
