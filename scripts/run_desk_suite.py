@@ -43,13 +43,11 @@ def main() -> int:
         (outdir / f"{name}.meta.yaml").write_text(
             yaml.safe_dump(report.metadata, sort_keys=True))
         print(f"   done in {time.time() - t0:.0f}s -> {out}")
-        for kind in spec.test_functions:
-            for sched in {r.schedule for r in report.rows}:
-                for m in spec.m_values:
-                    lmc = report.mse("lmc", m, kind, sched)
-                    lq = report.mse("lqmc", m, kind, sched)
-                    print(f"   {sched} m={m} {kind}: lmc={lmc:.3e} "
-                          f"lqmc={lq:.3e} ratio={lmc / lq:.1f}")
+        for row in report.rows:  # m, then schedule, then test function, as in the report
+            if row.method == "lmc":
+                lq = report.mse("lqmc", row.m, row.test_fn, row.schedule)
+                print(f"   {row.schedule} m={row.m} {row.test_fn}: lmc={row.mse:.3e} "
+                      f"lqmc={lq:.3e} ratio={row.mse / lq:.1f}")
     return 0
 
 

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .models import (GroundTruth, closed_form_posterior,
                      synthesize_data)
 from .prng import BaselinePrng
 from .samplers import (ChainBatch, ChainConfig, ConstantSchedule, PseudoRandomDrive,
-                       continue_chain, contraction_info, run_chain, sample_means)
+                       contraction_info, run_chain, sample_means)
 
 # Stream-id roles, combined as ((sched_idx * 8 + role) << 40) | (m << 20) | r;
 # the spec loader keeps r below experiment.MAX_REPLICATES = 2**20.
@@ -171,31 +171,54 @@ def cached_ground_truth(spec: ExperimentSpec, cache) -> GroundTruth:
 # ---------------------------------------------------------------------------
 
 
-def _cell_chains(spec, schedule, sched_idx, m, shift_rngs, seq, n, start, theta0):
-    """One phase of an (m, schedule) cell: ``n`` steps from iteration
-    ``start``, row i from ``theta0[i]``.  The LMC chains come first, then the
-    LQMC chains, each reading ``seq`` under a fresh shift from its
-    replicate's generator in ``shift_rngs``.  Each chain draws minibatch
-    indices from one stream of its own, and an LMC chain reads the same
-    noise drive in every phase, so both streams carry on across phases."""
-    reps, d = range(spec.replicates), theta0.shape[1]
-    lmc = [(PseudoRandomDrive(spec.seed, _stream(sched_idx, _ROLE_NOISE, m, r)),
-            _ROLE_MINIBATCH_LMC, r) for r in reps]
-    lqmc = [(build_drive_matrix(seq, d, rng=shift_rngs[r]), _ROLE_MINIBATCH_LQMC, r)
-            for r in reps]
-    return tuple(
-        ChainConfig(theta0=x, n_steps=n, schedule=schedule, drive=drive,
-                    minibatch=spec.minibatch, minibatch_seed=spec.seed,
-                    minibatch_stream=_stream(sched_idx, role, m, r), schedule_start=start)
-        for x, (drive, role, r) in zip(theta0, lmc + lqmc))
+def run_cell(spec: ExperimentSpec, potential, m: int, sched_idx: int, phases,
+             trajectory_dir: str | None = None) -> np.ndarray:
+    """The per-chain means of one (m, schedule) cell, (3, 2R, d) as from
+    ``samplers.sample_means``: R LMC chains, then R LQMC chains, stepped as
+    one batch through ``phases``, (sequence, steps) pairs, each phase from the
+    previous one's final states (a burn-in, then the main phase, whose means
+    these are).  Every stream derives from (spec seed, m, ``sched_idx``,
+    replicate) alone.  An LMC chain reads one noise stream, and each chain
+    one minibatch stream, across all phases; an LQMC chain reads each phase's
+    sequence under the next shift of its replicate's shift stream.
+    ``trajectory_dir`` re-runs each chain alone, phase after phase, appending
+    its states block by block to ``<method>_m<m>_<schedule>_r<r>.csv``.
+    """
+    reps, d = spec.replicates, potential.dim
+    schedule, label = spec.main_run(m)[1][sched_idx], spec.schedules[sched_idx].label
+    keys = [(method, r) for method in ("lmc", "lqmc") for r in range(reps)]
+    names = tuple(f"{spec.model} {k} m={m} schedule={label} replicate {r}" for k, r in keys)
+    roles = [_ROLE_MINIBATCH_LMC] * reps + [_ROLE_MINIBATCH_LQMC] * reps
+    noise = [PseudoRandomDrive(spec.seed, _stream(sched_idx, _ROLE_NOISE, m, r))
+             for r in range(reps)]
+    shifts = [BaselinePrng(spec.seed, _stream(sched_idx, _ROLE_SHIFT, m, r))
+              for r in range(reps)]
+    theta, start, configs = np.zeros((2 * reps, d)), 1, []  # configs: one tuple per phase
+    for seq, n in phases:
+        if configs:
+            theta = run_chain(potential, ChainBatch(configs[-1], names))
+        drives = noise + [build_drive_matrix(seq, d, rng=rng) for rng in shifts]
+        configs.append(tuple(
+            ChainConfig(theta0=x, n_steps=n, schedule=schedule, drive=drive,
+                        minibatch=spec.minibatch, minibatch_seed=spec.seed,
+                        minibatch_stream=_stream(sched_idx, role, m, r), schedule_start=start)
+            for x, drive, role, (_, r) in zip(theta, drives, roles, keys)))
+        start += n
+    means = sample_means(potential, ChainBatch(configs[-1], names))
+    for i, (method, r) in enumerate(keys if trajectory_dir is not None else ()):
+        with open(f"{trajectory_dir}/{method}_m{m}_{label}_r{r}.csv", "w") as fh:
+            row, x = 1, configs[0][i].theta0  # row: the iteration of the next state
 
+            def write(block):
+                nonlocal row
+                np.savetxt(fh, np.column_stack([np.arange(row, row + len(block)), block[:, 0]]),
+                           fmt=["%d"] + ["%.17g"] * d, delimiter=",")
+                row += len(block)
 
-def _dump(potential, phases, path) -> None:
-    """Re-run one chain alone, phase after phase, and write its whole trajectory."""
-    run = run_chain(potential, phases[0])
-    for cfg in phases[1:]:
-        run = continue_chain(run, cfg.drive, cfg.n_steps)
-    run.save_trajectory(path)
+            for phase in configs:
+                x = run_chain(potential, ChainBatch((replace(phase[i], theta0=x),),
+                                                    names[i:i + 1]), write)[0]
+    return means
 
 
 def run_comparison(
@@ -203,46 +226,32 @@ def run_comparison(
     truth: GroundTruth | None = None,
     trajectory_dir: str | None = None,
 ) -> MseReport:
-    """Execute the full comparison described by ``spec``.
-
-    Each m runs the generator, chain length and schedules of ``spec.cell(m)``,
-    whose checks the spec loader ran with the same code.  ``truth``
-    overrides the model's ground-truth oracle (useful when a reference run
-    is cached).  ``trajectory_dir`` dumps every chain's trajectory as CSV,
-    re-running each chain alone (off by default: the files are large and
-    the re-runs cost more than the batched run).
+    """Execute the full comparison described by ``spec``: one ``run_cell``
+    per m and schedule of ``spec.cell(m)``, whose checks the spec loader ran
+    with the same code.  ``truth`` overrides the model's ground-truth oracle
+    (useful when a reference run is cached).  ``trajectory_dir`` dumps every
+    chain's trajectory as CSV (off by default: the files are large and the
+    re-runs cost more than the batched run).
     """
     potential, _ = build_model(spec)
     if truth is None:
         truth = ground_truth_for(spec, potential)
-    d = potential.dim
+    d, reps = potential.dim, spec.replicates
     if any(len(truth.values(kind)) != d for kind in TEST_FUNCTIONS):
         raise ConfigurationError(f"a ground truth of {len(truth.mean)} coordinates "
                                  f"for the {spec.model} model of dimension {d}")
-    reps = spec.replicates
-    keys = [(method, r) for method in ("lmc", "lqmc") for r in range(reps)]  # chain order
-    burn_seq = generate_cud(builtin_config(spec.burn_in_m)) if spec.burn_in_m else None
-
-    rows: list[ReportRow] = []
-    replicate_rows: list[tuple] = []
-    meta_drive: dict = {}
-    meta_schedules: dict = {}
-    diag: dict = {}
-    steps = 0
-    cud_values = spec.burn_in_n
-
+    truth_values = np.stack([truth.values(kind) for kind in TEST_FUNCTIONS])[:, None]
+    burn_in = ([(generate_cud(builtin_config(spec.burn_in_m)), spec.burn_in_n)]
+               if spec.burn_in_m else [])
+    rows, replicate_rows, meta_drive, meta_schedules, diag = [], [], {}, {}, {}
+    steps, cud_values = 0, spec.burn_in_n
     for m in spec.m_values:
         config, n_run, schedules = spec.cell(m)
         n = config.period
         main_seq = generate_cud(config)
         cud_values += main_seq.n
-        meta_drive[m] = {
-            "n": n,
-            "n_run": n_run,
-            "poly_mask": hex(config.poly_mask),
-            "offset": config.offset,
-            "stored_width": coprime_width(n, d),
-        }
+        meta_drive[m] = {"n": n, "n_run": n_run, "poly_mask": hex(config.poly_mask),
+                         "offset": config.offset, "stored_width": coprime_width(n, d)}
         for sched_idx, (sspec, schedule) in enumerate(zip(spec.schedules, schedules)):
             meta_schedules.setdefault(sspec.label, {})[m] = schedule.label()
             if (isinstance(schedule, ConstantSchedule)
@@ -251,43 +260,19 @@ def run_comparison(
                     and 0 < schedule.h * potential.strong_convexity < 1):
                 diag[f"{sspec.label}/m{m}"] = asdict(contraction_info(
                     potential.smoothness, potential.strong_convexity, schedule.h, d, n))
-
-            names = tuple(f"{spec.model} {method} m={m} schedule={sspec.label} replicate {r}"
-                          for method, r in keys)
-            shift_rngs = [BaselinePrng(spec.seed, _stream(sched_idx, _ROLE_SHIFT, m, r))
-                          for r in range(reps)]
-            theta0 = np.zeros((len(keys), d))
-            batches = []
-            if burn_seq is not None:  # the main phase starts from the burn-in's final states
-                batches.append(ChainBatch(_cell_chains(
-                    spec, schedule, sched_idx, m, shift_rngs, burn_seq, spec.burn_in_n, 1,
-                    theta0), names))
-                theta0 = run_chain(potential, batches[-1])
-            batches.append(ChainBatch(_cell_chains(
-                spec, schedule, sched_idx, m, shift_rngs, main_seq, n_run, 1 + spec.burn_in_n,
-                theta0), names))
-            means = dict(zip(TEST_FUNCTIONS, sample_means(potential, batches[-1])))
-            steps += sum(batch.n_steps for batch in batches)
-            if trajectory_dir is not None:
-                for i, (method, r) in enumerate(keys):
-                    _dump(potential, [batch.chains[i] for batch in batches],
-                          f"{trajectory_dir}/{method}_m{m}_{sspec.label}_r{r}.csv")
-
+            means = run_cell(spec, potential, m, sched_idx, burn_in + [(main_seq, n_run)],
+                             trajectory_dir)
+            steps += 2 * reps * (spec.burn_in_n + n_run)
+            sq_errs = ((means - truth_values) ** 2).mean(axis=2)  # (test function, chain)
             for i, method in enumerate(("lmc", "lqmc")):
                 for kind in spec.test_functions:
-                    est = means[kind][i * reps:(i + 1) * reps]
-                    errs = ((est - truth.values(kind)) ** 2).mean(axis=1)
+                    errs = sq_errs[TEST_FUNCTIONS.index(kind), i * reps:(i + 1) * reps]
                     rows.append(ReportRow(
-                        model=spec.model, method=method, m=m, n=n_run,
-                        schedule=sspec.label, test_fn=kind,
-                        mse=float(errs.mean()),
-                        stderr=float(errs.std(ddof=1) / math.sqrt(len(errs))),
-                        replicates=reps,
-                    ))
-                    replicate_rows.extend(
-                        (spec.model, method, m, sspec.label, kind, r, float(e))
-                        for r, e in enumerate(errs)
-                    )
+                        model=spec.model, method=method, m=m, n=n_run, schedule=sspec.label,
+                        test_fn=kind, mse=float(errs.mean()),
+                        stderr=float(errs.std(ddof=1) / math.sqrt(reps)), replicates=reps))
+                    replicate_rows.extend((spec.model, method, m, sspec.label, kind, r, float(e))
+                                          for r, e in enumerate(errs))
 
     metadata = {
         "model": spec.model,

@@ -209,7 +209,8 @@ class ChainBatch:
 
     @property
     def n_steps(self) -> int:
-        """Langevin updates over all chains: B times the chain length."""
+        """Langevin updates over all chains: B times the chain length (the
+        step count that perfbench's tracer reads off each ``run_chain`` call)."""
         return sum(c.n_steps for c in self.chains)
 
 

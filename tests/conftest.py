@@ -22,10 +22,14 @@ def spec_path(name: str) -> pathlib.Path:
     return SPEC_DIR / name
 
 
-def _cached_truth(request, file_name: str, spec_name: str) -> models.GroundTruth:
+def _truth_file(request, file_name: str) -> pathlib.Path | None:
     cache = getattr(request.config, "cache", None)
-    path = None if cache is None else cache.mkdir("lqmc") / file_name
-    return bench.cached_ground_truth(load_spec(spec_path(spec_name)), path)
+    return None if cache is None else cache.mkdir("lqmc") / file_name
+
+
+def _cached_truth(request, file_name: str, spec_name: str) -> models.GroundTruth:
+    return bench.cached_ground_truth(load_spec(spec_path(spec_name)),
+                                     _truth_file(request, file_name))
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +42,9 @@ def logistic_truth(request):
 def crossed_truth(request):
     """Reference truth for the crossed desk model (h=1e-5, n=2^22, 10 chains)."""
     return _cached_truth(request, "crossed_truth_v1.json", "crossed_desk.yaml")
+
+
+@pytest.fixture(scope="session")
+def crossed_truth_file(request, crossed_truth):
+    """The cache file that holds ``crossed_truth`` (None without the cache plugin)."""
+    return _truth_file(request, "crossed_truth_v1.json")

@@ -1,6 +1,6 @@
 """Harness mechanics: the LCG demo, the comparison and report plumbing."""
 
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -8,11 +8,14 @@ import pytest
 from lqmc import bench, samplers
 from lqmc.bench import (MseReport, iid_pointset, is_primitive_root, lcg_demo,
                         run_comparison, smallest_primitive_root)
+from lqmc.cud_core import builtin_config, generate_cud
+from lqmc.drive import build_drive_matrix
 from lqmc.errors import ConfigurationError
 from lqmc.experiment import ExperimentSpec, ScheduleSpec
 from lqmc.models import GroundTruth, standard_gaussian_potential
 from lqmc.prng import BaselinePrng
-from lqmc.samplers import ChainConfig, ConstantSchedule, run_chain
+from lqmc.samplers import (ChainConfig, ConstantSchedule, PseudoRandomDrive, continue_chain,
+                           run_chain)
 
 
 def _flat_truth(d):
@@ -146,6 +149,52 @@ class TestRunComparison:
                    "indicator": (traj > 0).mean(axis=0)}[fn]
             redone = float(((est - truth.values(fn)) ** 2).mean())
             assert redone == pytest.approx(sq_err, rel=1e-10, abs=0), (method, m, fn, r)
+
+    @pytest.mark.parametrize("spec", [
+        ExperimentSpec(model="double_well", m_values=(6,), seed=1, replicates=2,
+                       burn_in_m=3, schedules=(ScheduleSpec(kind="constant", h=0.05),)),
+        ExperimentSpec(model="logistic", m_values=(5,), n_obs=12, dim=2, seed=3,
+                       replicates=2, minibatch=4, burn_in_m=3,
+                       schedules=(ScheduleSpec(kind="solved", h_start=0.01, h_end=0.001),)),
+    ], ids=["double-well", "logistic-minibatch-solved"])
+    def test_streamed_dump_equals_a_saved_continued_run(self, spec, tmp_path):
+        # A dump is written block by block as its chain re-runs; its bytes are
+        # those of the same chain run alone over the burn-in, continued over
+        # the main period, and saved whole.
+        truth = _flat_truth(spec.dim) if spec.model == "logistic" else None
+        run_comparison(spec, truth=truth, trajectory_dir=str(tmp_path))
+        potential = bench.build_model(spec)[0]
+        (m,), d, label = spec.m_values, potential.dim, spec.schedules[0].label
+        config, n_run, (schedule,) = spec.cell(m)
+        seqs = (generate_cud(builtin_config(spec.burn_in_m)), generate_cud(config))
+        for r in range(spec.replicates):
+            noise = PseudoRandomDrive(spec.seed, bench._stream(0, bench._ROLE_NOISE, m, r))
+            shifts = BaselinePrng(spec.seed, bench._stream(0, bench._ROLE_SHIFT, m, r))
+            lqmc = [build_drive_matrix(seq, d, rng=shifts) for seq in seqs]
+            for method, (burn, main), role in (("lmc", (noise, noise), bench._ROLE_MINIBATCH_LMC),
+                                               ("lqmc", lqmc, bench._ROLE_MINIBATCH_LQMC)):
+                run = run_chain(potential, ChainConfig(
+                    np.zeros(d), spec.burn_in_n, schedule, burn, minibatch=spec.minibatch,
+                    minibatch_seed=spec.seed, minibatch_stream=bench._stream(0, role, m, r)))
+                continue_chain(run, main, n_run).save_trajectory(tmp_path / "whole.csv")
+                assert ((tmp_path / f"{method}_m{m}_{label}_r{r}.csv").read_bytes()
+                        == (tmp_path / "whole.csv").read_bytes()), (method, r)
+
+    def test_cell_means_depend_only_on_the_cell(self):
+        # Streams derive from (seed, m, schedule index, replicate) alone, so
+        # the other m values and schedules of a spec leave a cell unchanged.
+        spec = _tiny_spec(m_values=(5,), burn_in_m=3)
+        potential = bench.build_model(spec)[0]
+        phases = [(generate_cud(builtin_config(3)), 7), (generate_cud(builtin_config(5)), 31)]
+        means = bench.run_cell(spec, potential, 5, 0, phases)
+        assert means.shape == (3, 2 * spec.replicates, spec.dim)
+        solved = ScheduleSpec(kind="solved", h_start=0.01, h_end=0.001)
+        for other in (replace(spec, m_values=(4, 5)),
+                      replace(spec, schedules=spec.schedules + (solved,))):
+            assert np.array_equal(bench.run_cell(other, potential, 5, 0, phases), means)
+        # The same schedule at another index reads other streams.
+        swapped = replace(spec, schedules=(solved,) + spec.schedules)
+        assert not np.array_equal(bench.run_cell(swapped, potential, 5, 1, phases), means)
 
     def test_mse_rederivable_from_replicate_dump(self):
         report = run_comparison(_tiny_spec())

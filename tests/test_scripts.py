@@ -4,14 +4,17 @@ import json
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
+
+from lqmc.experiment import load_spec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _run_script(name, *args):
-    env = dict(os.environ)
+def _run_script(name, *args, **env_vars):
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
@@ -45,6 +48,22 @@ def test_run_desk_suite_double_well(tmp_path):
     ratios = [[line for line in p.stdout.splitlines() if "ratio=" in line]
               for p in (proc, again)]
     assert ratios[0] == ratios[1]  # the cached truth gives the same report
+
+
+def test_run_desk_suite_prints_ratios_in_spec_order(tmp_path, crossed_truth_file):
+    # One line per (m, schedule, test function), in the report's order.  An
+    # order taken from a set of schedule labels would put crossed's `solved`
+    # schedule first under PYTHONHASHSEED=1.
+    if crossed_truth_file is not None:  # the session's truth, not 2^22 steps again
+        shutil.copy(crossed_truth_file, tmp_path / "crossed_desk.truth.json")
+    proc = _run_script("run_desk_suite.py", "--only", "crossed", "--results", str(tmp_path),
+                       PYTHONHASHSEED="1")
+    assert proc.returncode == 0, proc.stderr
+    if crossed_truth_file is not None:
+        assert proc.stderr.startswith("truth: loaded from cache")
+    labels = [line.split()[0] for line in proc.stdout.splitlines() if "ratio=" in line]
+    spec = load_spec(ROOT / "specs" / "crossed_desk.yaml")
+    assert labels == [s.label for s in spec.schedules]
 
 
 def _perfbench_result(root, workload, seed, wall, failed=0):
