@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -181,8 +181,8 @@ def run_cell(spec: ExperimentSpec, potential, m: int, sched_idx: int, phases,
     replicate) alone.  An LMC chain reads one noise stream, and each chain
     one minibatch stream, across all phases; an LQMC chain reads each phase's
     sequence under the next shift of its replicate's shift stream.
-    ``trajectory_dir`` re-runs each chain alone, phase after phase, appending
-    its states block by block to ``<method>_m<m>_<schedule>_r<r>.csv``.
+    ``trajectory_dir`` receives each chain's states as the batch makes them,
+    every block appended to ``<method>_m<m>_<schedule>_r<r>.csv``.
     """
     reps, d = spec.replicates, potential.dim
     schedule, label = spec.main_run(m)[1][sched_idx], spec.schedules[sched_idx].label
@@ -193,32 +193,32 @@ def run_cell(spec: ExperimentSpec, potential, m: int, sched_idx: int, phases,
              for r in range(reps)]
     shifts = [BaselinePrng(spec.seed, _stream(sched_idx, _ROLE_SHIFT, m, r))
               for r in range(reps)]
-    theta, start, configs = np.zeros((2 * reps, d)), 1, []  # configs: one tuple per phase
+    dump, row = None, 1  # row: the iteration of the next dumped state
+    if trajectory_dir is not None:
+        paths = [f"{trajectory_dir}/{method}_m{m}_{label}_r{r}.csv" for method, r in keys]
+        for path in paths:  # emptied up front, so a bad directory fails before any step
+            open(path, "w").close()
+
+        def dump(block):  # one file open at a time: R can reach 2^20 - 1
+            nonlocal row
+            for path, states in zip(paths, block.transpose(1, 0, 2)):
+                with open(path, "a") as fh:
+                    np.savetxt(fh, np.column_stack([np.arange(row, row + len(block)), states]),
+                               fmt=["%d"] + ["%.17g"] * d, delimiter=",")
+            row += len(block)
+
+    theta, start, batch = np.zeros((2 * reps, d)), 1, None
     for seq, n in phases:
-        if configs:
-            theta = run_chain(potential, ChainBatch(configs[-1], names))
+        if batch is not None:
+            theta = run_chain(potential, batch, dump)
         drives = noise + [build_drive_matrix(seq, d, rng=rng) for rng in shifts]
-        configs.append(tuple(
+        batch = ChainBatch(tuple(
             ChainConfig(theta0=x, n_steps=n, schedule=schedule, drive=drive,
                         minibatch=spec.minibatch, minibatch_seed=spec.seed,
                         minibatch_stream=_stream(sched_idx, role, m, r), schedule_start=start)
-            for x, drive, role, (_, r) in zip(theta, drives, roles, keys)))
+            for x, drive, role, (_, r) in zip(theta, drives, roles, keys)), names)
         start += n
-    means = sample_means(potential, ChainBatch(configs[-1], names))
-    for i, (method, r) in enumerate(keys if trajectory_dir is not None else ()):
-        with open(f"{trajectory_dir}/{method}_m{m}_{label}_r{r}.csv", "w") as fh:
-            row, x = 1, configs[0][i].theta0  # row: the iteration of the next state
-
-            def write(block):
-                nonlocal row
-                np.savetxt(fh, np.column_stack([np.arange(row, row + len(block)), block[:, 0]]),
-                           fmt=["%d"] + ["%.17g"] * d, delimiter=",")
-                row += len(block)
-
-            for phase in configs:
-                x = run_chain(potential, ChainBatch((replace(phase[i], theta0=x),),
-                                                    names[i:i + 1]), write)[0]
-    return means
+    return sample_means(potential, batch, dump)
 
 
 def run_comparison(
@@ -230,8 +230,8 @@ def run_comparison(
     per m and schedule of ``spec.cell(m)``, whose checks the spec loader ran
     with the same code.  ``truth`` overrides the model's ground-truth oracle
     (useful when a reference run is cached).  ``trajectory_dir`` dumps every
-    chain's trajectory as CSV (off by default: the files are large and the
-    re-runs cost more than the batched run).
+    chain's trajectory as CSV (off by default: the files are large, and
+    writing them costs more than stepping the chains).
     """
     potential, _ = build_model(spec)
     if truth is None:
@@ -285,7 +285,7 @@ def run_comparison(
         "drive": meta_drive,
         "schedules": meta_schedules,
         "contraction": diag,
-        "counts": {  # of the comparison chains; trajectory dumps re-run them uncounted
+        "counts": {  # of the comparison chains, the dumped ones among them
             "chain_steps": steps,
             "exact_gradients": 0 if spec.minibatch else steps,
             "minibatch_gradients": steps if spec.minibatch else 0,

@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--truth-cache", default=None,
                      help="load ground truth from this file if present, else compute and save")
     run.add_argument("--dump-trajectories", default=None, metavar="DIR",
-                     help="re-run every chain alone and dump it as CSV into DIR (large)")
+                     help="write every scored chain, burn-in included, as CSV into DIR (large)")
 
     diag = sub.add_parser("diagnose", help="contraction coupling diagnostic")
     diag.add_argument("--model", default="quadratic",

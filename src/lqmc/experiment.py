@@ -9,6 +9,7 @@ before any work starts, and parse -> serialize -> parse is the identity.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -27,6 +28,8 @@ MAX_REPLICATES = 1 << 20
 MIN_NOISE_VAR = 1e-12
 # Orders a run can generate: the generator table up to the period budget.
 M_RANGE = range(TABLE_RANGE.start, MAX_M + 1)
+# A schedule label names report rows (CSV fields) and dump files.
+LABEL_PATTERN = re.compile(r"[A-Za-z0-9_.+-]+")
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,8 @@ class ScheduleSpec:
             raise SpecError(f"unknown schedule kind {self.kind!r}")
         if not self.label:
             object.__setattr__(self, "label", self._default_label())
+        if not isinstance(self.label, str) or not LABEL_PATTERN.fullmatch(self.label):
+            raise SpecError(f"schedule label {self.label!r} must match {LABEL_PATTERN.pattern}")
 
     def _default_label(self) -> str:
         if self.kind == "constant":
@@ -179,6 +184,10 @@ class ExperimentSpec:
                             f"(the generator table up to the period budget)")
         if not self.schedules:
             raise SpecError("at least one schedule is required")
+        labels = [s.label for s in self.schedules]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise SpecError(f"schedule label {label!r} is used more than once")
         if self.truth is not None and self.model not in DEFAULT_TRUTH:
             raise SpecError(f"truth: a {self.model} model has no reference-chain truth")
         if self.replicates < 2:

@@ -276,17 +276,21 @@ def run_chain(potential, config, observe=None) -> ChainRun | np.ndarray:
     return theta if traj is None else ChainRun(traj, config, potential)
 
 
-def sample_means(potential, batch: ChainBatch) -> np.ndarray:
+def sample_means(potential, batch: ChainBatch, observe=None) -> np.ndarray:
     """Per-chain averages of theta, theta**2 and 1{theta > 0} (the coordinate,
-    square and indicator test functions) over the batch's steps, (3, B, d)."""
+    square and indicator test functions) over the batch's steps, (3, B, d).
+    ``observe``, unless None, then receives each (b, B, d) block, as from
+    ``run_chain``: the states these averages are made of."""
     sums = np.zeros((3, len(batch.chains), potential.dim))
 
-    def observe(block):
+    def reduce(block):
         sums[0] += block.sum(axis=0)
         sums[1] += (block**2).sum(axis=0)
         sums[2] += (block > 0).sum(axis=0)
+        if observe is not None:
+            observe(block)
 
-    run_chain(potential, batch, observe)
+    run_chain(potential, batch, reduce)
     return sums / batch.chains[0].n_steps
 
 

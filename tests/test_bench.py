@@ -135,7 +135,7 @@ class TestRunComparison:
                        burn_in_m=3, schedules=(ScheduleSpec(kind="constant", h=0.05),)),
     ], ids=["linear", "logistic-minibatch", "double-well-burn-in"])
     def test_dumped_chains_reproduce_the_batched_errors(self, spec, tmp_path):
-        # Each dump re-runs one chain alone; its errors must match the ones
+        # Each dump holds one scored chain; its errors must match the ones
         # the batched cell reduced online.
         truth = _flat_truth(spec.dim) if spec.model == "logistic" else None
         report = run_comparison(spec, truth=truth, trajectory_dir=str(tmp_path))
@@ -179,6 +179,40 @@ class TestRunComparison:
                 continue_chain(run, main, n_run).save_trajectory(tmp_path / "whole.csv")
                 assert ((tmp_path / f"{method}_m{m}_{label}_r{r}.csv").read_bytes()
                         == (tmp_path / "whole.csv").read_bytes()), (method, r)
+
+    def test_dump_holds_the_scored_chains(self, monkeypatch, tmp_path):
+        # Each dump holds the states its chain's batch made, burn-in included,
+        # bit for bit; a chain stepped alone could round its d = 100 BLAS
+        # gradients otherwise.  One batched pass per phase steps them all.
+        spec = ExperimentSpec(model="linear", m_values=(6,), n_obs=20, dim=100, replicates=2,
+                              burn_in_m=3, schedules=(ScheduleSpec(kind="constant", h=0.001),))
+        passes, original = [], samplers.run_chain
+
+        def recording(potential, config, observe=None):
+            blocks = []
+            passes.append((len(config.chains), blocks))
+
+            def record(block):
+                blocks.append(block.copy())
+                if observe is not None:
+                    observe(block)
+
+            return original(potential, config, record)
+
+        monkeypatch.setattr(samplers, "run_chain", recording)
+        monkeypatch.setattr(bench, "run_chain", recording)
+        run_comparison(spec, trajectory_dir=str(tmp_path))
+        batch = 2 * spec.replicates
+        states = np.concatenate([block for b, blocks in passes if b == batch for block in blocks])
+        assert states.shape == (7 + 63, batch, spec.dim)
+        differ = []
+        for i, (method, r) in enumerate((k, r) for k in ("lmc", "lqmc") for r in range(2)):
+            body = np.loadtxt(tmp_path / f"{method}_m6_constant_h0.001_r{r}.csv", delimiter=",")
+            assert np.array_equal(body[:, 0], np.arange(1, 71)), (method, r)
+            if not np.array_equal(body[:, 1:], states[:, i]):
+                differ.append((method, r))
+        assert differ == []
+        assert [b for b, _ in passes] == [batch] * 2  # burn-in, main phase
 
     def test_cell_means_depend_only_on_the_cell(self):
         # Streams derive from (seed, m, schedule index, replicate) alone, so

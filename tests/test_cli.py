@@ -255,6 +255,14 @@ run: {replicates: 3, seed: 5, burn_in_m: 3, n_override: 9, test_functions: [coor
                         "schedules: [{kind: constant, h: 0.01}]\n")
         assert run_cli("run", str(spec)) == EXIT_VALIDATION
 
+    def test_bad_schedule_label_fails_validation_before_work(self, tmp_path, capsys):
+        spec = tmp_path / "label.yaml"
+        spec.write_text(self.SPEC.replace("h: 0.01}", "h: 0.01, label: x/y}"))
+        dumps = tmp_path / "dumps"
+        assert run_cli("run", str(spec), "--dump-trajectories", str(dumps)) == EXIT_VALIDATION
+        assert "schedule label 'x/y'" in capsys.readouterr().err
+        assert not dumps.exists()
+
     def test_divergence_exit_code(self, tmp_path, capsys):
         spec = tmp_path / "diverge.yaml"
         spec.write_text(

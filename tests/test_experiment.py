@@ -37,6 +37,14 @@ class TestScheduleSpec:
         with pytest.raises(SpecError):
             ScheduleSpec(kind="warmup", h=0.1)
 
+    @pytest.mark.parametrize("label", ["a,b", "x/y", "a\nb"], ids=["comma", "slash", "newline"])
+    def test_label_outside_its_alphabet_refused(self, label):
+        # A label is a field of the report rows and part of the dump file names.
+        with pytest.raises(SpecError, match="must match"):
+            ScheduleSpec(kind="constant", h=0.01, label=label)
+        assert ScheduleSpec(kind="constant", h=1e-5).label == "constant_h1e-05"
+        assert ScheduleSpec(kind="polynomial", c0=0.1, c1=-0.5).label == "poly_c00.1_c1-0.5"
+
     def test_polynomial_coefficients_checked_at_load(self):
         for c0, c1 in ((0.0, 10.0), (-0.1, 10.0), (0.1, -1.0), (0.1, -3.0)):
             with pytest.raises(SpecError):
@@ -131,6 +139,15 @@ class TestExperimentSpecValidation:
     def test_unknown_test_function(self):
         with pytest.raises(SpecError):
             self._ok(test_functions=("cube",))
+
+    @pytest.mark.parametrize("schedules, label", [
+        ("[{kind: constant, h: 0.01, label: a}, {kind: constant, h: 0.02, label: a}]", "a"),
+        ("[{kind: constant, h: 0.01}, {kind: constant, h: 0.01}]", "constant_h0.01"),
+    ], ids=["explicit", "default"])
+    def test_duplicate_schedule_labels_refused(self, schedules, label):
+        # Their report rows, sidecar entries and dumps could not be told apart.
+        with pytest.raises(SpecError, match=f"label '{label}' is used more than once"):
+            ExperimentSpec.from_yaml(TestUnknownKeys.BASE + f"schedules: {schedules}\n")
 
     def test_n_override_must_fit_periods(self):
         with pytest.raises(SpecError):

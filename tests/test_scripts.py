@@ -66,6 +66,24 @@ def test_run_desk_suite_prints_ratios_in_spec_order(tmp_path, crossed_truth_file
     assert labels == [s.label for s in spec.schedules]
 
 
+def test_output_digests_lists_every_output():
+    proc = _run_script("output_digests.py")
+    assert proc.returncode == 0, proc.stderr
+    digests = dict(line.split() for line in proc.stdout.splitlines())
+    labels = {path.stem: [s.label for s in load_spec(path).schedules]
+              for path in (ROOT / "specs").glob("*_desk.yaml")}
+    labels["sgld_burn_solved"] = ["constant_h0.001", "solved_0.001to0.0001"]
+    labels["linear_burn_override_offset"] = ["constant_h0.001"]
+    expected = {f"{name}{suffix}" for name in labels
+                for suffix in (".csv", ".replicates.csv", ".meta.yaml")}
+    expected |= {f"{name}/{method}_m{m}_{label}_r{r}.csv" for name, names in labels.items()
+                 for label in names for method in ("lmc", "lqmc") for m in (8, 10)
+                 for r in range(4)}
+    assert sorted(digests) == sorted(expected) and len(expected) == 181
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in digests.values())
+    assert len(set(digests.values())) == len(digests)  # no two files alike, none empty
+
+
 def _perfbench_result(root, workload, seed, wall, failed=0):
     out = root / ".perfbench_out"
     out.mkdir(parents=True, exist_ok=True)
