@@ -20,11 +20,20 @@ keeps a running counter so successive calls continue the stream.
 
 Small uniform draws are served from a look-ahead block: the uniforms of
 the next ``_AHEAD`` outputs of the stream, computed at once and handed out
-slice by slice, so a minibatch draw of ten indices does not pay for a
-vectorized pass of its own.  A uniform draw of ``_AHEAD`` or more, and
-every ``uint64`` draw, is computed straight from the counter and leaves the
-block alone.  Either way output ``i`` is the word above, a pure function of
+slice by slice.  A uniform draw of ``_AHEAD`` or more, and every ``uint64``
+draw, is computed straight from the counter and leaves the block alone.
+Either way output ``i`` is the word above, a pure function of
 ``(seed, stream, i)``: where the block starts changes no value.
+
+Minibatch index sets have a look-ahead block of their own.  A draw of k
+of n indices is a partial Fisher-Yates on the next k uniforms; the first
+draw of a run of equal (n, k) computes the next D = max(1, _SETS_AHEAD // k)
+such draws at once with ``partial_fisher_yates``, and the draws after it
+take its rows in turn.  A draw whose start is not a row of the block (a new
+(n, k), or an interleaved uniform draw of other than a multiple of k)
+computes a new block from its own start, so each index set is again a pure
+function of the stream and its start.  A block costs O(D k log k)
+vectorized work and O(D k) memory, whatever n is.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ _STREAM_MULT = 0xD1B54A32D192ED03
 _SEED_SALT = 0x243F6A8885A308D3
 _INV_2_53 = 2.0 ** -53
 _AHEAD = 1024  # uniforms computed ahead for draws smaller than this
+_SETS_AHEAD = 1024  # uniforms of index sets computed ahead, whole sets, at least one
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -64,6 +74,8 @@ class BaselinePrng:
         self._counter = int(counter)  # outputs of the stream already consumed
         self._ahead = np.empty(0)  # look-ahead block: the uniforms of outputs ...
         self._ahead_at = 0  # ... _ahead_at .. _ahead_at + len(_ahead) - 1
+        self._sets = np.empty((0, 0), dtype=np.int64)  # look-ahead index sets: row i ...
+        self._sets_key = (0, 0, 0)  # ... is draw (n, k) from output start + i * k on
 
     def _words(self, start: int, count: int) -> np.ndarray:
         idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
@@ -99,16 +111,50 @@ class BaselinePrng:
     def index_subset(self, n: int, k: int) -> np.ndarray:
         """Uniform subset of ``k`` distinct indices from ``range(n)``.
 
-        Partial Fisher-Yates driven by this stream's uniforms, so the draw
-        is without replacement and reproducible.  Position r of the pool
-        holds ``moved.get(r, r)``: only the swapped positions are stored.
+        The partial Fisher-Yates of ``partial_fisher_yates`` on the next
+        ``k`` uniforms of the stream; a copy of the next row of the
+        look-ahead block of index sets.
         """
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-        moved: dict[int, int] = {}
-        out = []
-        for j, u in enumerate(self.uniform(k).tolist()):
-            r = j + int(u * (n - j))
-            out.append(moved.get(r, r))
-            moved[r] = moved.get(j, j)
-        return np.array(out, dtype=np.int64)
+        start = self._take(k)
+        if k == 0:
+            return np.empty(0, dtype=np.int64)
+        key_n, key_k, at = self._sets_key
+        row, off = divmod(start - at, k)
+        if (key_n, key_k) != (n, k) or off or not 0 <= row < len(self._sets):
+            count = max(1, _SETS_AHEAD // k) * k
+            self._sets = partial_fisher_yates(self._uniforms(start, count).reshape(-1, k), n)
+            self._sets_key, row = (n, k, start), 0
+        return self._sets[row].copy()
+
+
+def partial_fisher_yates(u: np.ndarray, n: int) -> np.ndarray:
+    """Row i: the first k entries of ``range(n)`` after the swaps
+    ``pool[j] <-> pool[r_j]``, ``r_j = j + trunc(u[i, j] * (n - j))``, for
+    j = 0 .. k - 1 in turn; vectorized over the D rows of ``u`` (D, k).
+
+    Step j outputs what position r_j >= j holds: r_j itself, unless an
+    earlier step q targeted it too (``prev``, the last such q), which left
+    there what position q held at step q.  That is q, unless a step before
+    q targeted q (``home[q]``), and so on.  Both links come from one
+    row-wise stable sort of the targets, and the chains are followed by
+    pointer doubling in O(log k) rounds, so memory is O(D k) whatever n is.
+    """
+    d, k = u.shape
+    j = np.arange(k)
+    r = j + (u * (n - j)).astype(np.int64)
+    at = np.arange(0, d * k, k)[:, None]  # links are flat indices into the (D, k) block
+    order = np.argsort(r, axis=1, kind="stable") + at  # by target, then by step
+    s = r.ravel()[order]
+    same = s[:, 1:] == s[:, :-1]
+    prev = np.full(d * k, -1)
+    prev[order[:, 1:][same]] = order[:, :-1][same]
+    last = np.ones((d, k), dtype=bool)  # the last step to target each q < k
+    last[:, :-1] = ~same
+    last &= s < k
+    home = (j + at).ravel()
+    home[(s + at)[last]] = order[last]  # q itself if r_q = q: no chain reaches q then
+    while not np.array_equal(nxt := home[home], home):
+        home = nxt
+    return np.where(prev >= 0, home[prev], (r + at).ravel()).reshape(d, k) - at

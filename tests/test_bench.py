@@ -5,7 +5,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from lqmc import bench, samplers
+from lqmc import bench, prng, samplers
 from lqmc.bench import (MseReport, iid_pointset, is_primitive_root, lcg_demo,
                         run_comparison, smallest_primitive_root)
 from lqmc.cud_core import builtin_config, generate_cud
@@ -105,6 +105,16 @@ class TestRunComparison:
         for x, y in zip(a, b):
             assert y.mse == pytest.approx(x.mse, rel=1e-12, abs=0)
             assert y.stderr == pytest.approx(x.stderr, rel=1e-12, abs=0)
+
+    def test_index_set_block_does_not_change_the_report(self, monkeypatch):
+        spec = ExperimentSpec(
+            model="logistic", m_values=(5,), n_obs=12, dim=2, replicates=2,
+            minibatch=3, burn_in_m=3, schedules=(ScheduleSpec(kind="constant", h=0.01),))
+        a = run_comparison(spec, truth=_flat_truth(2))
+        for size in (1, 7):  # blocks of one index set, and of 7 // minibatch = 2
+            monkeypatch.setattr(prng, "_SETS_AHEAD", size)
+            b = run_comparison(spec, truth=_flat_truth(2))
+            assert b.rows == a.rows and b.to_csv() == a.to_csv()
 
     def test_minibatch_streams_distinct_after_burn_in(self, monkeypatch):
         # Each chain reads one minibatch stream, the main segment carrying

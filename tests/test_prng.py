@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqmc.prng import _AHEAD, BaselinePrng
+from lqmc.prng import _AHEAD, _SETS_AHEAD, BaselinePrng, partial_fisher_yates
 
 # frozen outputs of the documented construction; any change to the
 # constants or mixing breaks cross-run reproducibility and must fail here
@@ -135,3 +135,50 @@ class TestFisherYatesEquivalence:
         g, ref = BaselinePrng(seed, 1), BaselinePrng(seed, 1)
         for n, k in draws:
             assert np.array_equal(g.index_subset(n, k), _pool_subset(ref.uniform(k), n, k))
+
+
+class TestIndexSetBlock:
+    @pytest.mark.parametrize("n, k", [(10**6, 1000), (5000, 5000), (0, 0), (9, 0), (1, 1), (7, 1),
+                                      (100, 10)]
+                             + [(3 * _AHEAD, k) for k in sorted({_AHEAD - 1, _AHEAD, _AHEAD + 1,
+                                                                 _SETS_AHEAD - 1, _SETS_AHEAD,
+                                                                 _SETS_AHEAD + 1})])
+    def test_draw_for_draw_against_the_pool_loop(self, n, k):
+        # Past the end of one block and into the next, at every size the
+        # block's row count D = max(1, _SETS_AHEAD // k) changes around.
+        draws = max(1, _SETS_AHEAD // max(k, 1)) + 2
+        g, ref = BaselinePrng(11, k, counter=5), BaselinePrng(11, k, counter=5)
+        for _ in range(draws):
+            out = g.index_subset(n, k)
+            want = _pool_subset(ref.uniform(k), n, k)
+            assert out.dtype == want.dtype and np.array_equal(out, want)
+        assert g._counter == 5 + draws * k
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (5, 5), (12, 4), (40, 25), (10**5, 3)])
+    def test_kernel_rows_are_independent_draws(self, n, k):
+        # Small n packs many repeated swap targets into each row.
+        u = BaselinePrng(3, n).uniform(300 * k).reshape(300, k)
+        want = np.array([_pool_subset(row, n, k) for row in u])
+        assert np.array_equal(partial_fisher_yates(u, n), want)
+
+    def test_switching_sizes_and_interleaved_uniforms(self):
+        # uniform(20) skips two rows of the (100, 10) block; uniform(3) and
+        # uniform(1) move the next draw off its rows.
+        g, ref = BaselinePrng(8, 2, counter=13), BaselinePrng(8, 2, counter=13)
+        for kind, n, k in [("set", 100, 10), ("set", 100, 10), ("uniform", 0, 3),
+                           ("set", 100, 10), ("uniform", 0, 20), ("set", 100, 10),
+                           ("set", 50, 10), ("set", 100, 7), ("set", 100, 10),
+                           ("uniform", 0, 1), ("set", 100, 7), ("set", 8, 8)]:
+            if kind == "uniform":
+                assert np.array_equal(g.uniform(k), ref.uniform(k))
+            else:
+                assert np.array_equal(g.index_subset(n, k), _pool_subset(ref.uniform(k), n, k))
+        assert g._counter == ref._counter
+
+    def test_returned_sets_do_not_alias_the_block(self):
+        g, ref = BaselinePrng(4), BaselinePrng(4)
+        for _ in range(5):
+            out = g.index_subset(100, 10)
+            assert np.array_equal(out, _pool_subset(ref.uniform(10), 100, 10))
+            assert not np.shares_memory(out, g._sets)
+            out[:] = -1
