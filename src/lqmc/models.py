@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import expit, ndtr
 
 from .drive import clamped_normal
@@ -345,6 +344,8 @@ def _dw_weight(x):
 
 def _dw_moment_quad() -> tuple[float, float, float]:
     """(E[x^2], normalizer, abs error estimate) by adaptive quadrature."""
+    from scipy.integrate import quad  # loads scipy.optimize/linalg/sparse: ~0.17 s, 26 MiB
+
     z, ze = quad(_dw_weight, -_DW_RADIUS, _DW_RADIUS, epsabs=1e-13, epsrel=1e-13)
     m2, me = quad(lambda x: x * x * _dw_weight(x), -_DW_RADIUS, _DW_RADIUS,
                   epsabs=1e-13, epsrel=1e-13)

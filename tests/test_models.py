@@ -1,7 +1,11 @@
 """Benchmark targets: gradients, closed forms, quadrature, reference runs."""
 
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -236,6 +240,25 @@ class TestDoubleWell:
         assert z_q == pytest.approx(z_h, rel=1e-10)
         assert err < 1e-10
         assert 1.0 < m2_q < 5.0  # sanity band around the heavy-shouldered value
+
+    def test_import_loads_scipy_integrate_only_for_the_truth(self):
+        # Import order is per process, so the check needs a fresh interpreter.
+        code = """
+import sys
+import lqmc, lqmc.cli
+heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+loaded = [m for m in heavy if m in sys.modules]
+assert not loaded, loaded
+from lqmc.models import _dw_moment_hermite, double_well_truth
+gt = double_well_truth()
+assert "scipy.integrate" in sys.modules
+assert abs(gt.second_moment[0] - _dw_moment_hermite()[0]) <= 1e-8
+"""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestGroundTruthIO:
