@@ -121,18 +121,18 @@ def truth_source(spec: ExperimentSpec) -> tuple[str, TruthSpec | None]:
     settings when it is a long reference run (None otherwise)."""
     if spec.model in DEFAULT_TRUTH:
         return "long-reference-run", spec.truth or DEFAULT_TRUTH[spec.model]
-    return ("closed-form" if spec.model == "linear" else "quadrature"), None
+    return "closed-form", None
 
 
 def ground_truth_for(spec: ExperimentSpec, potential) -> GroundTruth:
-    """Closed form, quadrature, or a long reference run, per ``truth_source``."""
+    """Closed form or a long reference run, per ``truth_source``."""
     provenance, ts = truth_source(spec)
+    if spec.model == "double_well":
+        return double_well_truth()
     if provenance == "closed-form":
         data = synthesize_data("linear", spec.n_obs, spec.dim, spec.data_seed,
                                noise_var=spec.noise_var)
         return closed_form_posterior(data)
-    if provenance == "quadrature":
-        return double_well_truth()
     return reference_ground_truth(
         potential, h=ts.h, n_steps=ts.n_steps, n_chains=ts.chains, seed=ts.seed
     )

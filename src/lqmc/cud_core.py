@@ -343,7 +343,7 @@ class PointSet:
             raise DomainError(
                 f"points must be (N, {self.dimension}), got shape {np.shape(self.points)}"
             )
-        if pts.size and (pts.min() < 0.0 or pts.max() >= 1.0):
+        if pts.size and not (pts.min() >= 0.0 and pts.max() < 1.0):  # NaN fails too
             raise DomainError("coordinates must lie in [0, 1)")
         object.__setattr__(self, "points", pts)
 

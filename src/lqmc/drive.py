@@ -118,7 +118,7 @@ def build_drive_matrix(
         raise ConfigurationError(
             f"shift must have the stored width {ds} (d={d}, n={n}), got {shift.shape}"
         )
-    if shift.min() < 0.0 or shift.max() >= 1.0:
+    if not (shift.min() >= 0.0 and shift.max() < 1.0):  # NaN fails too
         raise ConfigurationError("shift entries must lie in [0, 1)")
     return DriveMatrix(values=seq.values, shift=shift, d=d)
 

@@ -173,8 +173,9 @@ class ExperimentSpec:
                         ("minibatch", "offset", "poly_mask", "burn_in_m", "n_override"))
         if self.model not in MODELS:
             raise SpecError(f"unknown model {self.model!r}; expected one of {MODELS}")
-        if not self.m_values:
-            raise SpecError("m_values must be nonempty")
+        for key in ("m_values", "test_functions"):
+            if not getattr(self, key):
+                raise SpecError(f"{key} must be nonempty")
         for m in self.m_values:
             if not _is_int(m) or m not in M_RANGE:
                 raise SpecError(f"m_values must be integers in {M_RANGE.start}..{MAX_M} "
@@ -184,10 +185,12 @@ class ExperimentSpec:
                             f"(the generator table up to the period budget)")
         if not self.schedules:
             raise SpecError("at least one schedule is required")
-        labels = [s.label for s in self.schedules]
-        for label in labels:
-            if labels.count(label) > 1:
-                raise SpecError(f"schedule label {label!r} is used more than once")
+        for what, items in (("schedule label", [s.label for s in self.schedules]),
+                            ("m_values entry", self.m_values),
+                            ("test function", self.test_functions)):
+            for item in items:
+                if items.count(item) > 1:
+                    raise SpecError(f"{what} {item!r} is used more than once")
         if self.truth is not None and self.model not in DEFAULT_TRUTH:
             raise SpecError(f"truth: a {self.model} model has no reference-chain truth")
         if self.replicates < 2:

@@ -4,7 +4,7 @@ Each target is a ``Potential``: the negative log-density U with its
 gradient (and, where available, per-datum gradients for stochastic
 updates, a batched gradient for reference runs, and smoothness/convexity
 constants).  Ground truth for the estimators comes from a closed form
-(Gaussian posterior), adaptive quadrature (double well), or long
+(Gaussian posterior; Bessel functions for the double well), or long
 small-step reference chains, stepped by the sampler's ``run_chain`` and
 averaged by its ``sample_means``.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, ndtr
+from scipy.special import expit, k0, k1, ndtr
 
 from .drive import clamped_normal
 from .errors import ConfigurationError, DataError, DomainError
@@ -62,7 +62,7 @@ class GroundTruth:
     mean: np.ndarray
     second_moment: np.ndarray
     positive_prob: np.ndarray
-    provenance: str  # closed-form | quadrature | long-reference-run
+    provenance: str  # closed-form | long-reference-run
     mean_se: np.ndarray | None = None
     second_moment_se: np.ndarray | None = None
     positive_prob_se: np.ndarray | None = None
@@ -335,22 +335,18 @@ def double_well_potential() -> Potential:
     return Potential(dim=1, value=value, grad=grad, grad_batch=grad, name="double_well")
 
 
-_DW_RADIUS = 20.0  # exp(-R^2/4) ~ 4e-44: truncated tail mass far below 1e-12
+def _dw_moment_bessel() -> tuple[float, float]:
+    """(E[x^2], normalizer) in closed form.  x = sinh(u/2) and DLMF 10.32.9,
+    K_nu(y) = int_0^inf exp(-y cosh u) cosh(nu u) du, give for y = a/2
 
+        Z(a) = int exp(-a x^2) sqrt(1 + x^2) dx = (e^y / 2) (K_0(y) + K_1(y)),
 
-def _dw_weight(x):
-    return np.exp(-0.25 * x * x) * np.sqrt(1.0 + x * x)
-
-
-def _dw_moment_quad() -> tuple[float, float, float]:
-    """(E[x^2], normalizer, abs error estimate) by adaptive quadrature."""
-    from scipy.integrate import quad  # loads scipy.optimize/linalg/sparse: ~0.17 s, 26 MiB
-
-    z, ze = quad(_dw_weight, -_DW_RADIUS, _DW_RADIUS, epsabs=1e-13, epsrel=1e-13)
-    m2, me = quad(lambda x: x * x * _dw_weight(x), -_DW_RADIUS, _DW_RADIUS,
-                  epsabs=1e-13, epsrel=1e-13)
-    val = m2 / z
-    return val, z, (me + abs(val) * ze) / z
+    and with K_0' = -K_1, K_1' = -K_0 - K_1/y, E[x^2] = -d log Z / da at
+    a = 1/4 is K_1 / (2y (K_0 + K_1)) = 4 K_1 / (K_0 + K_1) at y = 1/8.
+    """
+    y = 0.125
+    k0_y, k1_y = float(k0(y)), float(k1(y))
+    return 4.0 * k1_y / (k0_y + k1_y), float(0.5 * np.exp(y) * (k0_y + k1_y))
 
 
 def _dw_moment_hermite(order: int = 300) -> tuple[float, float]:
@@ -363,22 +359,20 @@ def _dw_moment_hermite(order: int = 300) -> tuple[float, float]:
 
 
 def double_well_truth() -> GroundTruth:
-    """E[x] = 0 and P(x > 0) = 1/2 by symmetry; E[x^2] by dual quadrature.
+    """E[x] = 0 and P(x > 0) = 1/2 by symmetry; E[x^2] in closed form.
 
-    The adaptive rule on the truncated interval and an independent
-    Gauss-Hermite rule on the whole line must agree to 1e-8, including on
-    the normalizer; their disagreement feeds the error estimate.
+    The Bessel form and an independent Gauss-Hermite rule must agree to
+    1e-8, including on the normalizer.
     """
-    m2_q, z_q, err_q = _dw_moment_quad()
+    m2, z = _dw_moment_bessel()
     m2_h, z_h = _dw_moment_hermite()
-    if abs(m2_q - m2_h) > 1e-8 or abs(z_q - z_h) > 1e-8 * z_q:
-        raise DomainError("quadrature schemes disagree; numerical environment suspect")
+    if abs(m2 - m2_h) > 1e-8 or abs(z - z_h) > 1e-8 * z:
+        raise DomainError("closed form and Gauss-Hermite disagree; numerical environment suspect")
     return GroundTruth(
         mean=np.zeros(1),
-        second_moment=np.array([m2_q]),
+        second_moment=np.array([m2]),
         positive_prob=np.full(1, 0.5),
-        provenance="quadrature",
-        error_estimate=max(err_q, abs(m2_q - m2_h)),
+        provenance="closed-form",
     )
 
 

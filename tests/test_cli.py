@@ -169,6 +169,15 @@ class TestDiscrepancy:
         assert run_cli("discrepancy", str(f), "--dim", "2") == EXIT_VALIDATION
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim, rows", [(1, "0.5\nnan\n"), (2, "0.5,0.5\n0.2,nan\n")])
+    def test_nan_point_refused(self, tmp_path, capsys, dim, rows):
+        f = tmp_path / "pts.csv"
+        f.write_text(rows)
+        assert run_cli("discrepancy", str(f), "--dim", str(dim)) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "coordinates must lie in [0, 1)" in captured.err
+
     def test_iid_comparison(self, tmp_path, capsys):
         f = tmp_path / "pts.csv"
         rows = [f"{k / 16},{(3 * k % 16) / 16}" for k in range(1, 16)]

@@ -126,6 +126,8 @@ class TestPointSet:
             PointSet(1, np.array([1.0]))
         with pytest.raises(DomainError):
             PointSet(2, np.array([[0.2, -0.1]]))
+        with pytest.raises(DomainError):  # NaN compares false both ways
+            PointSet(2, np.array([[0.2, 0.3], [np.nan, 0.5]]))
 
     def test_rejects_wrong_width(self):
         with pytest.raises(DomainError):

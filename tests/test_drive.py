@@ -1,5 +1,7 @@
 """Drive matrices, rotation, and the inverse normal CDF."""
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -61,6 +63,12 @@ class TestDriveMatrixLayout:
         seq = generate_cud(builtin_config(4))
         with pytest.raises(ConfigurationError):
             build_drive_matrix(seq, 3, shift=np.zeros(3))  # stored width is 4
+
+    @pytest.mark.parametrize("shift", [[-0.1, 0.1], [0.1, 1.0], [np.nan, 0.1], [0.1, np.nan]])
+    def test_shift_range_validated(self, shift):
+        seq = generate_cud(builtin_config(4))
+        with pytest.raises(ConfigurationError, match=re.escape("lie in [0, 1)")):
+            build_drive_matrix(seq, 2, shift=np.array(shift))
 
     def test_shift_drawn_from_rng_is_reproducible(self):
         seq = generate_cud(builtin_config(5))

@@ -1,6 +1,7 @@
 """Spec parsing, validation, and round-trip serialization."""
 
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -148,6 +149,21 @@ class TestExperimentSpecValidation:
         # Their report rows, sidecar entries and dumps could not be told apart.
         with pytest.raises(SpecError, match=f"label '{label}' is used more than once"):
             ExperimentSpec.from_yaml(TestUnknownKeys.BASE + f"schedules: {schedules}\n")
+
+    @pytest.mark.parametrize("m_values, run, message", [
+        ("[4, 5, 4]", "", "m_values entry 4 is used more than once"),
+        ("[4]", "run: {test_functions: [square, coordinate, square]}\n",
+         "test function 'square' is used more than once"),
+        ("[4]", "run: {test_functions: []}\n", "test_functions must be nonempty"),
+    ], ids=["m_values", "test_functions", "no_test_functions"])
+    def test_repeated_or_empty_lists_refused(self, m_values, run, message):
+        # A repeated m runs its cell twice, a repeated test function writes its
+        # rows twice, and no test function steps every chain for an empty report.
+        text = ("model: {kind: linear, n_obs: 5, dim: 2}\n"
+                f"drive: {{m_values: {m_values}}}\n"
+                "schedules: [{kind: constant, h: 0.01}]\n" + run)
+        with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec.from_yaml(text)
 
     def test_n_override_must_fit_periods(self):
         with pytest.raises(SpecError):

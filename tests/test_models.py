@@ -1,12 +1,15 @@
 """Benchmark targets: gradients, closed forms, quadrature, reference runs."""
 
+import ast
 import json
+import math
 import os
 import pathlib
 import re
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from lqmc.models import (GroundTruth, Potential, SyntheticDataset,
                          logistic_potential, max_gradient_error,
                          reference_ground_truth, save_ground_truth,
                          standard_gaussian_potential, synthesize_data)
-from lqmc.models import _dw_moment_hermite, _dw_moment_quad
+from lqmc.models import _dw_moment_bessel, _dw_moment_hermite
 from lqmc.prng import BaselinePrng
 
 
@@ -231,27 +234,44 @@ class TestDoubleWell:
         gt = double_well_truth()
         assert gt.mean[0] == 0.0
         assert gt.positive_prob[0] == 0.5
-        assert gt.provenance == "quadrature"
+        assert gt.second_moment[0] == 3.1202821552083573
+        assert gt.provenance == "closed-form"
+        assert gt.error_estimate is None
 
-    def test_dual_quadrature_agreement(self):
-        m2_q, z_q, err = _dw_moment_quad()
+    def test_closed_form_within_two_ulp_of_mpmath(self):
+        with mpmath.workdps(40):
+            y = mpmath.mpf(1) / 8
+            k0, k1 = mpmath.besselk(0, y), mpmath.besselk(1, y)
+            m2_ref, z_ref = 4 * k1 / (k0 + k1), mpmath.exp(y) / 2 * (k0 + k1)
+            # the Bessel form is checked against the defining integral too
+            z_int = mpmath.quad(lambda x: mpmath.exp(-x * x / 4) * mpmath.sqrt(1 + x * x),
+                                [-mpmath.inf, 0, mpmath.inf])
+            m2_int = mpmath.quad(lambda x: x * x * mpmath.exp(-x * x / 4)
+                                 * mpmath.sqrt(1 + x * x), [-mpmath.inf, 0, mpmath.inf])
+            assert abs(z_int - z_ref) < mpmath.mpf(10) ** -30 * z_ref
+            assert abs(m2_int / z_int - m2_ref) < mpmath.mpf(10) ** -30
+            m2_ref, z_ref = float(m2_ref), float(z_ref)
+        m2, z = _dw_moment_bessel()
+        assert abs(m2 - m2_ref) <= 2 * math.ulp(m2_ref)
+        assert abs(z - z_ref) <= 2 * math.ulp(z_ref)
+
+    def test_closed_form_matches_gauss_hermite(self):
+        m2_b, z_b = _dw_moment_bessel()
         m2_h, z_h = _dw_moment_hermite()
-        assert m2_q == pytest.approx(m2_h, abs=1e-8)
-        assert z_q == pytest.approx(z_h, rel=1e-10)
-        assert err < 1e-10
-        assert 1.0 < m2_q < 5.0  # sanity band around the heavy-shouldered value
+        assert m2_b == pytest.approx(m2_h, abs=1e-8)
+        assert z_b == pytest.approx(z_h, rel=1e-10)
+        assert 1.0 < m2_b < 5.0  # sanity band around the heavy-shouldered value
 
-    def test_import_loads_scipy_integrate_only_for_the_truth(self):
+    def test_truth_loads_no_heavy_scipy(self):
         # Import order is per process, so the check needs a fresh interpreter.
         code = """
 import sys
 import lqmc, lqmc.cli
+from lqmc.models import _dw_moment_hermite, double_well_truth
+gt = double_well_truth()
 heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
 loaded = [m for m in heavy if m in sys.modules]
 assert not loaded, loaded
-from lqmc.models import _dw_moment_hermite, double_well_truth
-gt = double_well_truth()
-assert "scipy.integrate" in sys.modules
 assert abs(gt.second_moment[0] - _dw_moment_hermite()[0]) <= 1e-8
 """
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -259,6 +279,26 @@ assert abs(gt.second_moment[0] - _dw_moment_hermite()[0]) <= 1e-8
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=False)
         assert proc.returncode == 0, proc.stderr
+
+    def test_package_imports_no_scipy_but_special(self):
+        # Static, so it covers paths no test calls: module-level and in-function
+        # imports alike.
+        src = pathlib.Path(__file__).resolve().parent.parent / "src" / "lqmc"
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+                    names = [f"scipy.{alias.name}" for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] == "scipy"
+                          and name.split(".")[:2] != ["scipy", "special"]]
+        assert not found, found
 
 
 class TestGroundTruthIO:

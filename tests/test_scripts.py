@@ -38,7 +38,7 @@ def test_run_desk_suite_double_well(tmp_path):
     assert "ratio=" in proc.stdout
     cache = tmp_path / "double_well_desk.truth.json"
     err = proc.stderr.splitlines()
-    assert err[0] == "truth: computing double_well quadrature"
+    assert err[0] == "truth: computing double_well closed-form"
     assert re.fullmatch(rf"truth: done in \d+\.\d s, saved to {re.escape(str(cache))}",
                         err[1])
     again = _run_script("run_desk_suite.py", "--only", "double_well", "--results",
