@@ -146,6 +146,14 @@ def _section(where: str, section, allowed) -> dict:
     return section
 
 
+def _listed(key: str, value) -> tuple:
+    """A list-valued key as a tuple.  A scalar is refused: ``tuple()`` would
+    split a string into characters, and a number is not iterable."""
+    if not isinstance(value, list):
+        raise SpecError(f"{key} must be a list, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything needed to reproduce one MSE-comparison experiment."""
@@ -288,12 +296,12 @@ class ExperimentSpec:
                                   ("run", d.get("run", {}))):
                 fields.update(_section(name, section, SECTION_KEYS[name]))
             fields["model"] = fields.pop("kind")
-            fields["m_values"] = tuple(fields["m_values"])
+            fields["m_values"] = _listed("m_values", fields["m_values"])
             if "test_functions" in fields:
-                fields["test_functions"] = tuple(fields["test_functions"])
+                fields["test_functions"] = _listed("test_functions", fields["test_functions"])
             fields["schedules"] = tuple(
                 ScheduleSpec(**_section(f"schedules[{i}]", s, SECTION_KEYS["schedules"]))
-                for i, s in enumerate(d["schedules"]))
+                for i, s in enumerate(_listed("schedules", d["schedules"])))
             if "truth" in d:
                 fields["truth"] = TruthSpec(**_section("truth", d["truth"], SECTION_KEYS["truth"]))
             if "output" in d:

@@ -272,6 +272,13 @@ run: {replicates: 3, seed: 5, burn_in_m: 3, n_override: 9, test_functions: [coor
         assert "schedule label 'x/y'" in capsys.readouterr().err
         assert not dumps.exists()
 
+    def test_scalar_test_functions_fails_validation_naming_it(self, tmp_path, capsys):
+        spec = tmp_path / "scalar.yaml"
+        spec.write_text(self.SPEC.replace("test_functions: [coordinate]",
+                                          "test_functions: coordinate"))
+        assert run_cli("run", str(spec)) == EXIT_VALIDATION
+        assert "test_functions must be a list, got 'coordinate'" in capsys.readouterr().err
+
     def test_divergence_exit_code(self, tmp_path, capsys):
         spec = tmp_path / "diverge.yaml"
         spec.write_text(

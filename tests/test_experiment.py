@@ -165,6 +165,23 @@ class TestExperimentSpecValidation:
         with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
             ExperimentSpec.from_yaml(text)
 
+    @pytest.mark.parametrize("edit, message", [
+        ("run: {test_functions: coordinate}\n", "test_functions must be a list, got 'coordinate'"),
+        ("run: {test_functions: square}\n", "test_functions must be a list, got 'square'"),
+        ("drive: {m_values: 12}\n", "m_values must be a list, got 12"),
+        ("drive: {m_values: '4'}\n", "m_values must be a list, got '4'"),
+        ("schedules: {kind: constant, h: 0.01}\n",
+         "schedules must be a list, got {'kind': 'constant', 'h': 0.01}"),
+        ("schedules: constant\n", "schedules must be a list, got 'constant'"),
+    ], ids=["test_functions-coordinate", "test_functions-square", "m_values-int",
+            "m_values-str", "schedules-mapping", "schedules-str"])
+    def test_scalar_for_a_list_refused_naming_key_and_value(self, edit, message):
+        # tuple() would split a string into characters ("test function 'o' is
+        # used more than once") or fail on a number ("'int' object is not
+        # iterable"); a mapping of schedules would be read as its keys.
+        with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec.from_yaml(TestUnknownKeys.BASE + edit)
+
     def test_n_override_must_fit_periods(self):
         with pytest.raises(SpecError):
             self._ok(n_override=16)  # 2^4 - 1 = 15

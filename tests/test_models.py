@@ -25,6 +25,8 @@ from lqmc.models import (GroundTruth, Potential, SyntheticDataset,
                          standard_gaussian_potential, synthesize_data)
 from lqmc.models import _dw_moment_bessel, _dw_moment_hermite
 from lqmc.prng import BaselinePrng
+from lqmc.samplers import (ChainBatch, ChainConfig, ConstantSchedule,
+                           PseudoRandomDrive, run_chain)
 
 
 class TestSynthesizeData:
@@ -214,6 +216,47 @@ class TestCrossedEffects:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             crossed_effects_potential(np.zeros((0, 3)))
+
+    # The callers' state shapes: a lone vector, a lone chain (1, d), the
+    # reference oracle's 10 chains and a crossed_desk cell batch of 40.
+    @pytest.mark.parametrize("rows", [None, 1, 10, 40], ids=["d", "1xd", "10xd", "40xd"])
+    def test_residual_form_at_every_caller_shape(self, rows):
+        data = synthesize_data("crossed", 3, 5, seed=11)
+        pot = crossed_effects_potential(data.y)
+        shape = (pot.dim,) if rows is None else (rows, pot.dim)
+        theta = BaselinePrng(5, 1).uniform(math.prod(shape)).reshape(shape) * 4 - 2
+        got = pot.grad_batch(theta)
+        assert got.shape == shape
+        expect = residual_crossed_grad(data.y, theta).reshape(shape)
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("la", [-30.0, 30.0])
+    @pytest.mark.parametrize("lb", [-30.0, 30.0])
+    def test_residual_form_at_extreme_log_variances(self, la, lb):
+        # e^{-l} spans 1e-13..1e13, so entries span about 26 decades: each
+        # entry is held to a tolerance relative to itself.
+        data = synthesize_data("crossed", 3, 5, seed=11)
+        pot = crossed_effects_potential(data.y)
+        theta = np.linspace(-2, 2, 4 * pot.dim).reshape(4, pot.dim)
+        theta[:, -2:] = la, lb
+        np.testing.assert_allclose(pot.grad_batch(theta), residual_crossed_grad(data.y, theta),
+                                   rtol=1e-12, atol=0)
+
+    def test_overflowing_variance_weight_diverges_naming_the_chain(self):
+        # e^{-la} overflows at la = -1000, a state well inside the norm cap:
+        # the step must not come back finite.
+        data = synthesize_data("crossed", 3, 5, seed=11)
+        pot = crossed_effects_potential(data.y)
+        bad = np.full(pot.dim, 0.5)
+        bad[-2] = -1000.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(pot.grad_batch(np.stack([np.zeros(pot.dim), bad]))[1]).all()
+        chains = tuple(ChainConfig(theta0, 3, ConstantSchedule(1e-4), PseudoRandomDrive(1, i))
+                       for i, theta0 in enumerate((np.zeros(pot.dim), bad)))
+        with pytest.raises(DivergenceError, match="^bad diverged at iteration 1$"):
+            run_chain(pot, ChainBatch(chains, ("good", "bad")))
+        with pytest.raises(DivergenceError, match="^chain diverged at iteration 1$"):
+            run_chain(pot, chains[1])
 
 
 class TestDoubleWell:
