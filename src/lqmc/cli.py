@@ -302,11 +302,13 @@ def _cmd_discrepancy(args) -> int:
 
 def _cmd_run(args) -> int:
     spec = load_spec(args.spec)
-    truth = bench.cached_ground_truth(spec, args.truth_cache)
-    if args.dump_trajectories is not None:
-        os.makedirs(args.dump_trajectories, exist_ok=True)
-    report = bench.run_comparison(spec, truth=truth, trajectory_dir=args.dump_trajectories)
     output = args.output or spec.output
+    folders = [os.path.dirname(p or "") for p in (output, args.per_replicate, args.truth_cache)]
+    for folder in folders + [args.dump_trajectories]:  # made before any work, not after it
+        if folder:
+            os.makedirs(folder, exist_ok=True)
+    truth = bench.cached_ground_truth(spec, args.truth_cache)
+    report = bench.run_comparison(spec, truth=truth, trajectory_dir=args.dump_trajectories)
     _emit(report.to_csv(), output)
     if output is not None:
         with open(output + ".meta.yaml", "w") as fh:

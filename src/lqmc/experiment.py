@@ -46,23 +46,16 @@ class ScheduleSpec:
     label: str = ""
 
     def __post_init__(self):
-        if self.kind == "constant":
-            if self.h is None or not self.h > 0:
-                raise SpecError("constant schedule needs h > 0")
-        elif self.kind == "polynomial":
-            if self.c0 is None or self.c1 is None:
-                raise SpecError("polynomial schedule needs c0 and c1")
-            try:
-                PolynomialSchedule(self.c0, self.c1, self.exponent)
-            except ConfigurationError as exc:
-                raise SpecError(f"polynomial schedule: {exc}") from exc
-        elif self.kind == "solved":
-            if self.h_start is None or self.h_end is None:
-                raise SpecError("solved schedule needs h_start and h_end")
-            if not self.h_start > self.h_end > 0:
-                raise SpecError("solved schedule needs h_start > h_end > 0")
-        else:
+        if self.kind not in SECTION_KEYS["schedules"]:
             raise SpecError(f"unknown schedule kind {self.kind!r}")
+        needed = [k for k in SECTION_KEYS["schedules"][self.kind]
+                  if k not in ("kind", "exponent", "label")]
+        if any(getattr(self, k) is None for k in needed):
+            raise SpecError(f"{self.kind} schedule needs {' and '.join(needed)}")
+        try:  # the schedule's own rules, at the shortest run a solved one allows
+            self.resolve(2)
+        except ConfigurationError as exc:
+            raise SpecError(f"{self.kind} schedule: {exc}") from exc
         if not self.label:
             object.__setattr__(self, "label", self._default_label())
         if not isinstance(self.label, str) or not LABEL_PATTERN.fullmatch(self.label):
@@ -181,6 +174,8 @@ class ExperimentSpec:
                         ("minibatch", "offset", "poly_mask", "burn_in_m", "n_override"))
         if self.model not in MODELS:
             raise SpecError(f"unknown model {self.model!r}; expected one of {MODELS}")
+        if self.output is not None and not (isinstance(self.output, str) and self.output):
+            raise SpecError(f"output must be a nonempty string, got {self.output!r}")
         for key in ("m_values", "test_functions"):
             if not getattr(self, key):
                 raise SpecError(f"{key} must be nonempty")

@@ -1,8 +1,8 @@
 """Benchmark target distributions, synthetic data, and ground-truth oracles.
 
 Each target is a ``Potential``: the negative log-density U with its
-gradient (and, where available, per-datum gradients for stochastic
-updates, a batched gradient for reference runs, and smoothness/convexity
+gradient on a point and on a stack of points (and, where available,
+per-datum gradients for stochastic updates and smoothness/convexity
 constants).  Ground truth for the estimators comes from a closed form
 (Gaussian posterior; Bessel functions for the double well), or long
 small-step reference chains, stepped by the sampler's ``run_chain`` and
@@ -37,17 +37,18 @@ class Potential:
 
     ``sgrad(theta, idx)`` must return an unbiased gradient estimate
     from the data subset ``idx``:  grad(prior) + (N/|idx|) * sum of the
-    selected per-datum likelihood gradients.  ``grad_batch`` evaluates the
-    exact gradient on a stack of points; every exact-gradient chain, lone or
-    batched, and the reference-chain oracle use it, so a chain without
-    minibatches needs it.  ``smoothness``/``strong_convexity`` are the (L, M)
-    constants when known.
+    selected per-datum likelihood gradients.  ``grad_batch`` (required)
+    evaluates the exact gradient on a stack of points; every exact-gradient
+    chain, lone or batched, and the reference-chain oracle use it.  Every
+    model passes the same function as ``grad``; the field stays until the
+    benchmark's tracer stops reading it (ROADMAP item 4, step A).
+    ``smoothness``/``strong_convexity`` are the (L, M) constants when known.
     """
 
     dim: int
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
-    grad_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    grad_batch: Callable[[np.ndarray], np.ndarray]
     sgrad: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     num_data: int | None = None
     smoothness: float | None = None
@@ -493,8 +494,6 @@ def reference_ground_truth(
     (estimate - truth) / se is Student-t, not normal.  Raises
     ``ConfigurationError`` for fewer than two chains or fewer than one step.
     """
-    if potential.grad_batch is None:
-        raise ConfigurationError("reference runs need a batched gradient")
     if n_chains < 2:
         raise ConfigurationError(
             f"reference runs need n_chains >= 2 for a standard error, got {n_chains}")

@@ -112,29 +112,23 @@ Drive = Union[PseudoRandomDrive, DriveMatrix, GaussianDrive]
 
 
 def _xi_source(drive: Drive, n: int, d: int, start: int):
-    """``take(b)``: the next b rows of xi, the same rows whatever the b.
+    """``read(lo, hi)``: xi of steps lo..hi-1 (from 0), chosen once per chain.
 
-    A pseudo-random drive normalizes the next b*d uniforms of its stream,
-    which starts at the draws of iteration ``start``; a drive matrix maps
-    its next b rows, from row 0, through ``gaussian_rows``.
+    A pseudo-random drive normalizes the next (hi - lo)*d uniforms of its
+    stream, which starts at the draws of iteration ``start``, so it is read
+    in order; a Gaussian drive slices rows lo..hi-1, and a drive matrix maps
+    them through ``gaussian_rows``.  The rows do not depend on the split.
     """
     if isinstance(drive, PseudoRandomDrive):
         rng = BaselinePrng(drive.seed, drive.stream, counter=(start - 1) * d)
-        return lambda b: clamped_normal(rng.uniform(b * d)).reshape(b, d)
+        return lambda lo, hi: clamped_normal(rng.uniform((hi - lo) * d)).reshape(hi - lo, d)
     if not isinstance(drive, (DriveMatrix, GaussianDrive)):
         raise ConfigurationError(f"unknown drive kind {type(drive).__name__}")
     if drive.n < n or drive.d != d:
         raise ConfigurationError(f"drive is {drive.n}x{drive.d}, chain needs {n}x{d}")
-    pos = 0
-
-    def take(b):
-        nonlocal pos
-        lo, pos = pos, pos + b
-        if isinstance(drive, GaussianDrive):
-            return drive.xi[lo:pos]
-        return gaussian_rows(drive, lo, pos).xi
-
-    return take
+    if isinstance(drive, GaussianDrive):
+        return lambda lo, hi: drive.xi[lo:hi]
+    return lambda lo, hi: gaussian_rows(drive, lo, hi).xi
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +228,7 @@ def run_chain(potential, config, observe=None) -> ChainRun | np.ndarray:
     if potential.dim != d:
         raise ConfigurationError(
             f"potential dimension {potential.dim} != initial point dimension {d}")
-    sources = [_xi_source(c.drive, n, d, start) for c in batch.chains]
+    readers = [_xi_source(c.drive, n, d, start) for c in batch.chains]
     if size is not None:
         n_data = potential.num_data
         if potential.sgrad is None:
@@ -248,8 +242,6 @@ def run_chain(potential, config, observe=None) -> ChainRun | np.ndarray:
         def grad_of(theta):
             return np.array([potential.sgrad(x, rng.index_subset(n_data, size))
                              for x, rng in zip(theta, rngs)])
-    elif potential.grad_batch is None:
-        raise ConfigurationError(f"potential {potential.name!r} has no batched gradient")
     else:
         grad_of = potential.grad_batch
     hs = head.schedule.step_sizes(n, start=start)
@@ -258,7 +250,7 @@ def run_chain(potential, config, observe=None) -> ChainRun | np.ndarray:
     traj = None if batch is config else np.empty((n, d))
     for k in range(0, n, _BLOCK):
         b = min(_BLOCK, n - k)
-        noise = np.stack([take(b) for take in sources], axis=1)  # xi of the block
+        noise = np.stack([read(k, k + b) for read in readers], axis=1)  # xi of the block
         noise *= sq2h[k:k + b, None, None]
         block = np.empty((b,) + theta.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below

@@ -279,6 +279,35 @@ run: {replicates: 3, seed: 5, burn_in_m: 3, n_override: 9, test_functions: [coor
         assert run_cli("run", str(spec)) == EXIT_VALIDATION
         assert "test_functions must be a list, got 'coordinate'" in capsys.readouterr().err
 
+    def test_non_string_output_fails_validation_naming_it(self, tmp_path, capsys):
+        spec = tmp_path / "fd.yaml"
+        spec.write_text(self.SPEC + "output: 7\n")
+        assert run_cli("run", str(spec)) == EXIT_VALIDATION
+        assert "output must be a nonempty string, got 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["spec", "--output", "--per-replicate", "--truth-cache"])
+    def test_file_under_a_missing_directory_is_written(self, tmp_path, where):
+        spec, path = tmp_path / "tiny.yaml", tmp_path / "results" / "deeper" / "r.csv"
+        spec.write_text(self.SPEC + (f"output: {path}\n" if where == "spec" else ""))
+        argv = {"spec": ["run", str(spec)],
+                "--output": ["--output", str(path), "run", str(spec)]}.get(
+                    where, ["run", str(spec), where, str(path)])
+        assert run_cli(*argv) == EXIT_OK
+        assert path.stat().st_size > 0
+
+    @pytest.mark.parametrize("option", ["--output", "--per-replicate", "--truth-cache"])
+    def test_file_under_a_file_fails_before_the_truth(self, tmp_path, capsys, option):
+        # The directory is made before any work, so a path that cannot be
+        # written fails at once instead of after every chain.
+        spec, blocker = tmp_path / "tiny.yaml", tmp_path / "blocker"
+        spec.write_text(self.SPEC)
+        blocker.write_text("")
+        path = str(blocker / "r.csv")
+        argv = (["--output", path, "run", str(spec)] if option == "--output"
+                else ["run", str(spec), option, path])
+        assert run_cli(*argv) != EXIT_OK
+        assert "truth: computing" not in capsys.readouterr().err
+
     def test_divergence_exit_code(self, tmp_path, capsys):
         spec = tmp_path / "diverge.yaml"
         spec.write_text(

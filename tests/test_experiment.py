@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from lqmc.bench import run_comparison
 from lqmc.cud_core import MAX_M
-from lqmc.errors import DivergenceError, SpecError
+from lqmc.errors import ConfigurationError, DivergenceError, SpecError
 from lqmc.experiment import (DEFAULT_TRUTH, MODELS, TEST_FUNCTIONS,
                              ExperimentSpec, ScheduleSpec, TruthSpec, load_spec)
+from lqmc.samplers import ConstantSchedule, PolynomialSchedule, solve_polynomial_schedule
 
 SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
@@ -51,6 +52,22 @@ class TestScheduleSpec:
             with pytest.raises(SpecError):
                 ScheduleSpec(kind="polynomial", c0=c0, c1=c1)
         assert ScheduleSpec(kind="polynomial", c0=0.1, c1=-0.5).c1 == -0.5
+
+    @pytest.mark.parametrize("kind, params, build", [
+        ("constant", {"h": 0.0}, lambda: ConstantSchedule(0.0)),
+        ("polynomial", {"c0": 0.0, "c1": 1.0}, lambda: PolynomialSchedule(0.0, 1.0)),
+        ("solved", {"h_start": 1e-4, "h_end": 1e-2},
+         lambda: solve_polynomial_schedule(1e-4, 1e-2, 2)),
+        ("solved", {"h_start": 1e-2, "h_end": 1e-4, "exponent": 0.5},
+         lambda: solve_polynomial_schedule(1e-2, 1e-4, 2, 0.5)),
+    ], ids=["constant_h0", "polynomial_c0", "solved_rising", "solved_positive_exponent"])
+    def test_refusal_is_the_schedules_own(self, kind, params, build):
+        # Each rule lives in samplers; the spec only names the kind.
+        with pytest.raises(ConfigurationError) as own:
+            build()
+        with pytest.raises(SpecError) as refused:
+            ScheduleSpec(kind=kind, **params)
+        assert str(refused.value) == f"{kind} schedule: {own.value}"
 
 
 class TestExperimentSpecValidation:
@@ -129,9 +146,9 @@ class TestExperimentSpecValidation:
         # Both used to pass the loader and fail later (found by
         # TestAcceptedSpecsRun): an OverflowError solving the schedule, and
         # a ConfigurationError or LinAlgError building the linear model.
-        near_zero = ScheduleSpec(kind="solved", h_start=0.03125, h_end=1e-5,
-                                 exponent=-0.0078125)
         with pytest.raises(SpecError, match="too close to 0"):
+            near_zero = ScheduleSpec(kind="solved", h_start=0.03125, h_end=1e-5,
+                                     exponent=-0.0078125)
             self._ok(schedules=(near_zero,))
         for noise_var in (0.0, -1.0, 1.1e-308, float("inf")):
             with pytest.raises(SpecError, match="noise_var"):
@@ -181,6 +198,16 @@ class TestExperimentSpecValidation:
         # iterable"); a mapping of schedules would be read as its keys.
         with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
             ExperimentSpec.from_yaml(TestUnknownKeys.BASE + edit)
+
+    @pytest.mark.parametrize("value, shown", [("7", "7"), ("[a]", "['a']"),
+                                              ("{x: 1}", "{'x': 1}"), ("''", "''")],
+                             ids=["int", "list", "mapping", "empty"])
+    def test_output_that_is_not_a_path_refused_naming_it(self, value, shown):
+        # ``output: 7`` used to write the report to file descriptor 7 and then
+        # fail with a TypeError on the sidecar's name, after the whole run.
+        message = f"output must be a nonempty string, got {shown}"
+        with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec.from_yaml(TestUnknownKeys.BASE + f"output: {value}\n")
 
     def test_n_override_must_fit_periods(self):
         with pytest.raises(SpecError):

@@ -15,7 +15,7 @@ import pytest
 
 from lqmc.drive import clamped_normal
 from lqmc.errors import ConfigurationError, DataError, DivergenceError
-from lqmc.models import (GroundTruth, Potential, SyntheticDataset,
+from lqmc.models import (GroundTruth, SyntheticDataset,
                          closed_form_posterior, covariance_matrix,
                          crossed_effects_potential, double_well_potential,
                          double_well_truth, finite_difference_gradient,
@@ -398,11 +398,6 @@ class TestReferenceGroundTruth:
         assert np.allclose(gt.positive_prob, 0.5,
                            atol=4 * gt.positive_prob_se.max() + 0.01)
         assert gt.provenance == "long-reference-run"
-
-    def test_requires_batched_gradient(self):
-        pot = Potential(dim=1, value=lambda t: 0.0, grad=lambda t: t)
-        with pytest.raises(ConfigurationError):
-            reference_ground_truth(pot, h=0.1, n_steps=10, n_chains=2, seed=0)
 
     @pytest.mark.parametrize("n_chains, n_steps", [(0, 100), (1, 100), (2, 0)])
     def test_refuses_no_standard_error_or_no_kept_steps(self, n_chains, n_steps):
