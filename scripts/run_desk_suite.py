@@ -40,7 +40,7 @@ def main() -> int:
         out = outdir / f"{name}.csv"
         out.write_text(report.to_csv())
         (outdir / f"{name}.replicates.csv").write_text(report.replicate_csv())
-        (outdir / f"{name}.meta.yaml").write_text(
+        pathlib.Path(f"{out}.meta.yaml").write_text(  # beside the report, as `lqmc run` writes it
             yaml.safe_dump(report.metadata, sort_keys=True))
         print(f"   done in {time.time() - t0:.0f}s -> {out}")
         for row in report.rows:  # m, then schedule, then test function, as in the report

@@ -46,12 +46,14 @@ class ScheduleSpec:
     label: str = ""
 
     def __post_init__(self):
-        if self.kind not in SECTION_KEYS["schedules"]:
+        if not isinstance(self.kind, str) or self.kind not in SECTION_KEYS["schedules"]:
             raise SpecError(f"unknown schedule kind {self.kind!r}")
         needed = [k for k in SECTION_KEYS["schedules"][self.kind]
                   if k not in ("kind", "exponent", "label")]
         if any(getattr(self, k) is None for k in needed):
             raise SpecError(f"{self.kind} schedule needs {' and '.join(needed)}")
+        _check_numbers(self, ("h", "c0", "c1", "h_start", "h_end", "exponent"),
+                       f"{self.kind} schedule: ")
         try:  # the schedule's own rules, at the shortest run a solved one allows
             self.resolve(2)
         except ConfigurationError as exc:
@@ -89,6 +91,14 @@ def _check_integers(obj, names, optional=()) -> None:
             raise SpecError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_numbers(obj, names, where="") -> None:
+    """Refuse a field that is set but not a real number; a bool is not one."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and (not isinstance(value, (int, float)) or isinstance(value, bool)):
+            raise SpecError(f"{where}{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TruthSpec:
     """Reference-chain parameters for models without a closed form."""
@@ -100,8 +110,9 @@ class TruthSpec:
 
     def __post_init__(self):
         _check_integers(self, ("n_steps", "chains", "seed"))
-        if not self.h > 0 or self.n_steps < 1 or self.chains < 2:
-            raise SpecError("truth spec needs h > 0, n_steps >= 1, chains >= 2")
+        _check_numbers(self, ("h",), "truth: ")
+        if not 0 < self.h < math.inf or self.n_steps < 1 or self.chains < 2:
+            raise SpecError("truth spec needs a finite h > 0, n_steps >= 1, chains >= 2")
 
 
 DEFAULT_TRUTH = {
@@ -131,8 +142,9 @@ def _section(where: str, section, allowed) -> dict:
     if not isinstance(section, dict):
         raise SpecError(f"{where}: expected a mapping, got {section!r}")
     if isinstance(allowed, dict):  # keyed by kind; the dataclass refuses an unknown kind
-        where = f"{where} (kind {section.get('kind')})"
-        allowed = allowed.get(section.get("kind"), tuple(section))
+        kind = section.get("kind")
+        where = f"{where} (kind {kind})"
+        allowed = allowed.get(kind, tuple(section)) if isinstance(kind, str) else tuple(section)
     for key in section:
         if key not in allowed:
             raise SpecError(f"{where}: unknown key {key!r} (allowed: {', '.join(allowed)})")
@@ -172,6 +184,7 @@ class ExperimentSpec:
     def __post_init__(self):
         _check_integers(self, ("n_obs", "dim", "data_seed", "seed", "replicates"),
                         ("minibatch", "offset", "poly_mask", "burn_in_m", "n_override"))
+        _check_numbers(self, ("noise_var",))
         if self.model not in MODELS:
             raise SpecError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.output is not None and not (isinstance(self.output, str) and self.output):

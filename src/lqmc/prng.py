@@ -16,16 +16,10 @@ with the standard SplitMix64 finalizer
 
 Uniform doubles are ``(out >> 11) * 2**-53``, i.e. in [0, 1).  Distinct
 ``(seed, stream)`` pairs give effectively independent streams; the object
-keeps a running counter so successive calls continue the stream.
+keeps a running counter so successive calls continue the stream, and
+computes every ``uint64`` and ``uniform`` draw straight from it.
 
-Small uniform draws are served from a look-ahead block: the uniforms of
-the next ``_AHEAD`` outputs of the stream, computed at once and handed out
-slice by slice.  A uniform draw of ``_AHEAD`` or more, and every ``uint64``
-draw, is computed straight from the counter and leaves the block alone.
-Either way output ``i`` is the word above, a pure function of
-``(seed, stream, i)``: where the block starts changes no value.
-
-Minibatch index sets have a look-ahead block of their own.  A draw of k
+Minibatch index sets are served from a look-ahead block.  A draw of k
 of n indices is a partial Fisher-Yates on the next k uniforms; the first
 draw of a run of equal (n, k) computes the next D = max(1, _SETS_AHEAD // k)
 such draws at once with ``partial_fisher_yates``, and the draws after it
@@ -44,7 +38,6 @@ _GAMMA = 0x9E3779B97F4A7C15
 _STREAM_MULT = 0xD1B54A32D192ED03
 _SEED_SALT = 0x243F6A8885A308D3
 _INV_2_53 = 2.0 ** -53
-_AHEAD = 1024  # uniforms computed ahead for draws smaller than this
 _SETS_AHEAD = 1024  # uniforms of index sets computed ahead, whole sets, at least one
 
 
@@ -72,8 +65,6 @@ class BaselinePrng:
         k = _mix64(k ^ np.uint64((self.stream * _STREAM_MULT) & 0xFFFFFFFFFFFFFFFF))
         self._key = k
         self._counter = int(counter)  # outputs of the stream already consumed
-        self._ahead = np.empty(0)  # look-ahead block: the uniforms of outputs ...
-        self._ahead_at = 0  # ... _ahead_at .. _ahead_at + len(_ahead) - 1
         self._sets = np.empty((0, 0), dtype=np.int64)  # look-ahead index sets: row i ...
         self._sets_key = (0, 0, 0)  # ... is draw (n, k) from output start + i * k on
 
@@ -97,16 +88,8 @@ class BaselinePrng:
         return self._words(self._take(count), count)
 
     def uniform(self, count: int) -> np.ndarray:
-        """Next ``count`` doubles, uniform on [0, 1) with 2**-53 granularity;
-        a copy out of the look-ahead block if fewer than ``_AHEAD``."""
-        start = self._take(count)
-        if count >= _AHEAD:
-            return self._uniforms(start, count)
-        off = start - self._ahead_at
-        if off + count > len(self._ahead):
-            self._ahead = self._uniforms(start, _AHEAD)
-            self._ahead_at, off = start, 0
-        return self._ahead[off:off + count].copy()
+        """Next ``count`` doubles, uniform on [0, 1) with 2**-53 granularity."""
+        return self._uniforms(self._take(count), count)
 
     def index_subset(self, n: int, k: int) -> np.ndarray:
         """Uniform subset of ``k`` distinct indices from ``range(n)``.

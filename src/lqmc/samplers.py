@@ -24,7 +24,8 @@ from .errors import ConfigurationError, DivergenceError, DomainError
 from .prng import BaselinePrng
 
 _NORM_CAP_SQ = 1e16  # ||theta|| > 1e8 aborts the chain
-_BLOCK = 256  # steps per xi block of the chain loop; results do not depend on it
+_BLOCK = 256  # steps per xi block of the chain loop, or enough for _BLOCK_NORMALS xi a row;
+_BLOCK_NORMALS = 1024  # the states do not depend on the block, but sums are grouped by it
 
 # ---------------------------------------------------------------------------
 # Step-size schedules
@@ -36,8 +37,8 @@ class ConstantSchedule:
     h: float
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ConfigurationError("step size must be positive")
+        if not 0 < self.h < math.inf:
+            raise ConfigurationError(f"step size must be positive and finite, got {self.h!r}")
 
     def step_sizes(self, count: int, start: int = 1) -> np.ndarray:
         return np.full(count, self.h)
@@ -55,10 +56,13 @@ class PolynomialSchedule:
     exponent: float = -1.0 / 3.0
 
     def __post_init__(self):
-        if not self.c0 > 0:
-            raise ConfigurationError("c0 must be positive")
-        if not self.c1 + 1 > 0:
-            raise ConfigurationError("c1 + 1 must be positive so every h_k is defined")
+        if not 0 < self.c0 < math.inf:
+            raise ConfigurationError(f"c0 must be positive and finite, got {self.c0!r}")
+        if not 0 < self.c1 + 1 < math.inf:
+            raise ConfigurationError(f"c1 must be finite and c1 + 1 positive so every h_k "
+                                     f"is defined, got {self.c1!r}")
+        if not math.isfinite(self.exponent):
+            raise ConfigurationError(f"exponent must be finite, got {self.exponent!r}")
 
     def step_sizes(self, count: int, start: int = 1) -> np.ndarray:
         k = np.arange(start, start + count, dtype=np.float64)
@@ -76,13 +80,13 @@ def solve_polynomial_schedule(
 ) -> PolynomialSchedule:
     """Polynomial schedule hitting h_1 = h_start and h_n = h_end exactly.
 
-    Solves the two endpoint equations for (c0, c1); requires
-    h_start > h_end > 0, a negative exponent, and n >= 2.
+    Solves the two endpoint equations for (c0, c1); requires finite
+    h_start > h_end > 0, a finite negative exponent, and n >= 2.
     """
-    if not (h_start > h_end > 0):
-        raise ConfigurationError("need h_start > h_end > 0")
-    if exponent >= 0:
-        raise ConfigurationError("exponent must be negative for a decreasing schedule")
+    if not (math.inf > h_start > h_end > 0):
+        raise ConfigurationError("need h_start > h_end > 0, both finite")
+    if not -math.inf < exponent < 0:
+        raise ConfigurationError("exponent must be negative and finite for a decreasing schedule")
     if n < 2:
         raise ConfigurationError("need n >= 2 to pin both endpoints")
     try:
@@ -90,8 +94,12 @@ def solve_polynomial_schedule(
     except OverflowError:
         raise ConfigurationError(f"exponent {exponent:g} is too close to 0 for "
                                  f"h_start/h_end = {h_start / h_end:g}") from None
-    c1 = (n - ratio) / (ratio - 1.0)
-    c0 = h_start * (c1 + 1.0) ** (-exponent)
+    try:
+        c1 = (n - ratio) / (ratio - 1.0)
+        c0 = h_start * (c1 + 1.0) ** (-exponent)
+    except (OverflowError, ZeroDivisionError):
+        raise ConfigurationError(f"exponent {exponent:g} is too far from 0 for "
+                                 f"h_start/h_end = {h_start / h_end:g} over {n} steps") from None
     return PolynomialSchedule(c0=c0, c1=c1, exponent=exponent)
 
 
@@ -215,8 +223,8 @@ def run_chain(potential, config, observe=None) -> ChainRun | np.ndarray:
     is made (B = 1 for a lone chain).  A ``ChainConfig`` returns its
     ``ChainRun``; a ``ChainBatch`` keeps no trajectory and returns the final
     (B, d) state.  Gradients are exact (``grad_batch`` on the (B, d) state)
-    or one minibatch ``sgrad`` per row.  Each row reads xi from its
-    own drive in blocks of at most ``_BLOCK`` steps.  Every baseline stream
+    or one minibatch ``sgrad`` per row.  Each row reads xi from its own drive
+    in blocks of max(_BLOCK, ceil(_BLOCK_NORMALS / d)) steps.  Every baseline stream
     a row reads (a ``PseudoRandomDrive``, the minibatch indices) starts at
     the draws of iteration ``schedule_start``, so a chain continued on the
     same streams carries them on.  A row leaving ||theta|| <= 1e8 raises
@@ -248,8 +256,8 @@ def run_chain(potential, config, observe=None) -> ChainRun | np.ndarray:
     sq2h = np.sqrt(2.0 * hs)
     theta = np.stack([c.theta0 for c in batch.chains])
     traj = None if batch is config else np.empty((n, d))
-    for k in range(0, n, _BLOCK):
-        b = min(_BLOCK, n - k)
+    for k in range(0, n, step := max(_BLOCK, -(-_BLOCK_NORMALS // max(d, 1)))):
+        b = min(step, n - k)
         noise = np.stack([read(k, k + b) for read in readers], axis=1)  # xi of the block
         noise *= sq2h[k:k + b, None, None]
         block = np.empty((b,) + theta.shape)

@@ -100,6 +100,7 @@ class TestRunComparison:
         spec = _tiny_spec(m_values=(5,), burn_in_m=3)
         a = run_comparison(spec).rows
         monkeypatch.setattr(samplers, "_BLOCK", 7)
+        monkeypatch.setattr(samplers, "_BLOCK_NORMALS", 7)  # d = 3 blocks are 7 steps, not 342
         b = run_comparison(spec).rows
         assert [r[:6] for r in map(astuple, a)] == [r[:6] for r in map(astuple, b)]
         for x, y in zip(a, b):

@@ -467,6 +467,15 @@ class TestDiagnose:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error (diagnose): ")
 
+    @pytest.mark.parametrize("model", ["quadratic", "linear", "double_well"])
+    @pytest.mark.parametrize("h", ["inf", "nan", "-inf", "0"])
+    def test_step_size_that_is_not_positive_and_finite_exits_2(self, capsys, model, h):
+        # --h inf used to run into a divergence (exit 4).
+        assert run_cli("diagnose", "--model", model, f"--h={h}", "--steps", "3") == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error (diagnose): ")
+        assert "step size must be positive and finite" in captured.err
+
     @pytest.mark.parametrize("model, option", [
         ("double_well", "--dim"), ("double_well", "--n-obs"), ("double_well", "--data-seed"),
         ("quadratic", "--n-obs"), ("quadratic", "--data-seed"),

@@ -1,5 +1,6 @@
 """Spec parsing, validation, and round-trip serialization."""
 
+import math
 import pathlib
 import re
 
@@ -60,7 +61,17 @@ class TestScheduleSpec:
          lambda: solve_polynomial_schedule(1e-4, 1e-2, 2)),
         ("solved", {"h_start": 1e-2, "h_end": 1e-4, "exponent": 0.5},
          lambda: solve_polynomial_schedule(1e-2, 1e-4, 2, 0.5)),
-    ], ids=["constant_h0", "polynomial_c0", "solved_rising", "solved_positive_exponent"])
+        ("constant", {"h": math.inf}, lambda: ConstantSchedule(math.inf)),
+        ("polynomial", {"c0": 0.1, "c1": math.inf}, lambda: PolynomialSchedule(0.1, math.inf)),
+        ("polynomial", {"c0": 0.1, "c1": 1.0, "exponent": math.nan},
+         lambda: PolynomialSchedule(0.1, 1.0, math.nan)),
+        ("solved", {"h_start": math.inf, "h_end": 1e-4},
+         lambda: solve_polynomial_schedule(math.inf, 1e-4, 2)),
+        ("solved", {"h_start": 1e-2, "h_end": 1e-4, "exponent": -math.inf},
+         lambda: solve_polynomial_schedule(1e-2, 1e-4, 2, -math.inf)),
+    ], ids=["constant_h0", "polynomial_c0", "solved_rising", "solved_positive_exponent",
+            "constant_h_inf", "polynomial_c1_inf", "polynomial_exponent_nan",
+            "solved_h_start_inf", "solved_exponent_-inf"])
     def test_refusal_is_the_schedules_own(self, kind, params, build):
         # Each rule lives in samplers; the spec only names the kind.
         with pytest.raises(ConfigurationError) as own:
@@ -278,6 +289,67 @@ class TestUnknownKeys:
         spec = ExperimentSpec.from_yaml(self.BASE)
         assert (spec.replicates, spec.seed, spec.data_seed) == (20, 0, 1)
         assert spec.test_functions == TEST_FUNCTIONS
+
+
+class TestRealFields:
+    @pytest.mark.parametrize("edit, message", [
+        ("schedules: [{kind: constant, h: fast}]\n",
+         "constant schedule: h must be a number, got 'fast'"),
+        ("schedules: [{kind: constant, h: true}]\n",
+         "constant schedule: h must be a number, got True"),
+        ("schedules: [{kind: constant, h: 1e-3}]\n",  # YAML 1.1 reads this as a string
+         "constant schedule: h must be a number, got '1e-3'"),
+        ("schedules: [{kind: polynomial, c0: x, c1: 1.0}]\n",
+         "polynomial schedule: c0 must be a number, got 'x'"),
+        ("schedules: [{kind: polynomial, c0: 0.1, c1: x}]\n",
+         "polynomial schedule: c1 must be a number, got 'x'"),
+        ("schedules: [{kind: polynomial, c0: 0.1, c1: 1.0, exponent: x}]\n",
+         "polynomial schedule: exponent must be a number, got 'x'"),
+        ("schedules: [{kind: solved, h_start: x, h_end: 0.001}]\n",
+         "solved schedule: h_start must be a number, got 'x'"),
+        ("schedules: [{kind: solved, h_start: 0.01, h_end: true}]\n",
+         "solved schedule: h_end must be a number, got True"),
+        ("schedules: [{kind: solved, h_start: 0.01, h_end: 0.001, exponent: [-1]}]\n",
+         "solved schedule: exponent must be a number, got [-1]"),
+        ("schedules: [{kind: [constant], h: 0.01}]\n", "unknown schedule kind ['constant']"),
+        ("truth: {h: x, n_steps: 64, chains: 2}\n", "truth: h must be a number, got 'x'"),
+        ("truth: {h: true, n_steps: 64, chains: 2}\n", "truth: h must be a number, got True"),
+        ("model: {kind: linear, n_obs: 5, dim: 2, noise_var: x}\n",
+         "noise_var must be a number, got 'x'"),
+        ("model: {kind: linear, n_obs: 5, dim: 2, noise_var: true}\n",
+         "noise_var must be a number, got True"),
+    ], ids=["h-str", "h-bool", "h-1e-3", "c0-str", "c1-str", "polynomial-exponent-str",
+            "h_start-str", "h_end-bool", "solved-exponent-list", "kind-list", "truth-h-str",
+            "truth-h-bool", "noise_var-str", "noise_var-bool"])
+    def test_non_number_refused_at_load_naming_key_and_value(self, edit, message):
+        text = TestUnknownKeys.BASE + edit
+        if "noise_var" in edit:  # a linear model, which takes no truth section
+            text = text.replace("truth: {h: 0.001, n_steps: 64, chains: 2}\n", "")
+        with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec.from_yaml(text)
+
+    @pytest.mark.parametrize("edit, message", [
+        ("schedules: [{kind: constant, h: .inf}]\n",
+         "constant schedule: step size must be positive and finite, got inf"),
+        ("schedules: [{kind: polynomial, c0: .inf, c1: 1.0}]\n",
+         "polynomial schedule: c0 must be positive and finite, got inf"),
+        ("schedules: [{kind: solved, h_start: 0.01, h_end: 0.001, exponent: -1.0e+300}]\n",
+         "solved schedule: exponent -1e+300 is too far from 0 for h_start/h_end = 10 "
+         "over 2 steps"),
+        ("drive: {m_values: [14]}\n"
+         "schedules: [{kind: solved, h_start: 0.01, h_end: 0.001, exponent: -100.0}]\n",
+         "m=14: exponent -100 is too far from 0 for h_start/h_end = 10 over 16383 steps"),
+        ("truth: {h: .inf, n_steps: 64, chains: 2}\n",
+         "truth spec needs a finite h > 0, n_steps >= 1, chains >= 2"),
+    ], ids=["h-inf", "c0-inf", "solved-exponent-1e300", "solved-exponent-100-at-m14",
+            "truth-h-inf"])
+    def test_non_finite_refused_at_load(self, edit, message):
+        # An infinite step size used to load and diverge at run time; an
+        # exponent of -1e300 divided by zero, and one of -100 overflowed at
+        # m = 14, with tracebacks instead of a SpecError.  The other
+        # schedule fields: TestScheduleSpec.test_refusal_is_the_schedules_own.
+        with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec.from_yaml(TestUnknownKeys.BASE + edit)
 
 
 class TestIntegerFields:

@@ -31,10 +31,12 @@ class TestLmcStep:
         manual = theta - 0.05 * pot.grad(theta) + np.sqrt(2.0 * 0.05) * xi[0]
         assert np.array_equal(run.trajectory[0], manual)
         # three chains, one per drive kind, over more steps than one xi block
-        # holds (_BLOCK = 256) on a decreasing schedule: the loop's per-block
-        # noise equals sqrt(2 h_k) xi_k formed step by step, bit for bit
+        # holds on a decreasing schedule: the loop's per-block noise equals
+        # sqrt(2 h_k) xi_k formed step by step, bit for bit.  At d = 3 a block
+        # is ceil(_BLOCK_NORMALS / d) = 342 steps, more than _BLOCK = 256.
         d, n = 3, 600
-        assert n > samplers._BLOCK
+        step = max(samplers._BLOCK, -(-samplers._BLOCK_NORMALS // d))
+        assert step == 342 and n > step
         schedule = PolynomialSchedule(c0=0.2, c1=3.0)
         matrix = build_drive_matrix(generate_cud(builtin_config(10)), d, rng=BaselinePrng(2))
         drives = (GaussianDrive(xi=clamped_normal(BaselinePrng(9).uniform(n * d)).reshape(n, d)),
@@ -45,7 +47,7 @@ class TestLmcStep:
         chains = tuple(ChainConfig(t0, n, schedule, drv) for t0, drv in zip(theta0, drives))
         pot3, blocks = standard_gaussian_potential(d), []
         final = run_chain(pot3, ChainBatch(chains, ("gauss", "matrix", "prng")), blocks.append)
-        assert [len(blk) for blk in blocks] == [256, 256, 88]
+        assert [len(blk) for blk in blocks] == [step, n - step] == [342, 258]
         hs, theta, manual = schedule.step_sizes(n), theta0, []
         for k in range(n):
             theta = theta - hs[k] * pot3.grad_batch(theta) + np.sqrt(2.0 * hs[k]) * xis[k]
@@ -121,6 +123,25 @@ class TestRunChain:
                                     PseudoRandomDrive(3)), blocks.append)
         assert len(blocks) > 1 and all(b.shape[1:] == (1, 2) for b in blocks)
         assert np.array_equal(np.concatenate(blocks)[:, 0], run.trajectory)
+
+    def test_one_dimensional_chain_reads_1024_steps_per_block(self):
+        # A d = 1 pseudo-random chain draws its normals 1,024 at a time, and
+        # they are still the rows of one bulk draw of its stream.
+        n, pot, schedule = 2500, standard_gaussian_potential(1), ConstantSchedule(0.01)
+        bulk = clamped_normal(BaselinePrng(7, 2).uniform(n)).reshape(n, 1)
+        blocks = []
+        run = run_chain(pot, ChainConfig(np.zeros(1), n, schedule, PseudoRandomDrive(7, 2)),
+                        blocks.append)
+        assert [len(b) for b in blocks] == [1024, 1024, 452]
+        same = run_chain(pot, ChainConfig(np.zeros(1), n, schedule, GaussianDrive(xi=bulk)))
+        assert np.array_equal(run.trajectory, same.trajectory)
+
+    def test_zero_dimensional_chain_runs(self):
+        # The block rule divides by d; a chain with no coordinates still
+        # makes its n (empty) states.
+        config = ChainConfig(np.zeros(0), 300, ConstantSchedule(0.01), PseudoRandomDrive(7))
+        run = run_chain(standard_gaussian_potential(0), config)
+        assert run.trajectory.shape == (300, 0)
 
     def test_zero_drive_is_gradient_descent(self):
         pot = standard_gaussian_potential(1)

@@ -33,7 +33,7 @@ def test_run_desk_suite_double_well(tmp_path):
     proc = _run_script("run_desk_suite.py", "--only", "double_well", "--results",
                        str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    for suffix in (".csv", ".replicates.csv", ".meta.yaml"):
+    for suffix in (".csv", ".replicates.csv", ".csv.meta.yaml"):  # the sidecar as `lqmc run` names it
         assert (tmp_path / f"double_well_desk{suffix}").stat().st_size > 0
     assert "ratio=" in proc.stdout
     cache = tmp_path / "double_well_desk.truth.json"
