@@ -125,6 +125,12 @@ def _cmd_gen(args) -> int:
         raise ConfigurationError("gen requires -m (or --table)")
     config = builtin_config(args.m, offset=args.offset)
     n = config.period
+    # refused before the period is built: at m = 26 that is 2^26 values
+    if args.matrix is not None and args.matrix < 1:
+        raise ConfigurationError(f"gen --matrix must be >= 1, got {args.matrix}")
+    count = n if args.count is None else args.count
+    if not 1 <= count <= n:
+        raise ConfigurationError(f"gen --count must be in 1..{n}, got {count}")
     seq = generate_cud(config)  # refuses a polynomial that is not primitive
     print(f"m={args.m} poly=0x{config.poly_mask:x} offset={config.offset} "
           f"period={n} (implied by primitivity) gcd(offset, period)=1", file=sys.stderr)
@@ -136,9 +142,6 @@ def _cmd_gen(args) -> int:
               file=sys.stderr)
         _write_csv(matrix.rows, matrix.n, matrix.d, args.m, args.output)
         return EXIT_OK
-    count = n if args.count is None else args.count
-    if not 1 <= count <= n:
-        raise ConfigurationError(f"count must be in 1..{n}")
     _write_csv(lambda lo, hi: seq.values[lo:hi, None], count, 1, args.m, args.output)
     return EXIT_OK
 

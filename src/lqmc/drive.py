@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .cud_core import CudSequence
 from .errors import ConfigurationError, DomainError
@@ -137,6 +136,8 @@ def _reflected_ndtri(u: np.ndarray) -> np.ndarray:
     1 - u is exact (Sterbenz) and at most u; for u < 1/2, 1 - u > 1/2 > u;
     at u = 1/2 both give +0.0.  The caller must own u.
     """
+    from scipy.special import ndtri  # here, so commands drawing no normal skip scipy
+
     z = np.subtract(1.0, u)
     np.minimum(u, z, out=z)
     ndtri(z, out=z)

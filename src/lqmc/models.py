@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, k0, k1, ndtr
 
 from .drive import clamped_normal
 from .errors import ConfigurationError, DataError, DomainError
@@ -160,6 +159,8 @@ def synthesize_data(kind: str, n_obs: int, dim: int, seed: int,
     X = clamped_normal(rng.uniform(n_obs * dim)).reshape(n_obs, dim) @ chol.T
     eta = X @ beta
     if kind == "logistic":
+        from scipy.special import expit
+
         y = (rng.uniform(n_obs) < expit(eta)).astype(np.float64)
         return SyntheticDataset(kind=kind, X=X, y=y, beta=beta, seed=seed)
     y = eta + np.sqrt(noise_var) * clamped_normal(rng.uniform(n_obs))
@@ -179,6 +180,8 @@ def logistic_potential(data: SyntheticDataset) -> Potential:
     large linear predictors cannot overflow.  Per-datum gradients are
     available for minibatch updates.
     """
+    from scipy.special import expit  # bound once for grad and sgrad, not per call
+
     X, y = data.X, np.asarray(data.y, dtype=np.float64)
     if y.size and not np.all((y == 0.0) | (y == 1.0)):
         raise DataError("logistic labels must be 0 or 1")
@@ -244,6 +247,8 @@ def closed_form_posterior(data: SyntheticDataset) -> GroundTruth:
     mean = (X'X/s^2 + I)^{-1} X'y / s^2, cov = (X'X/s^2 + I)^{-1};
     E[b_j^2] = mean_j^2 + cov_jj and P(b_j > 0) = Phi(mean_j / sqrt(cov_jj)).
     """
+    from scipy.special import ndtr
+
     sigma2 = data.noise_var
     X, y = data.X, data.y
     d = X.shape[1]
@@ -352,6 +357,8 @@ def _dw_moment_bessel() -> tuple[float, float]:
     and with K_0' = -K_1, K_1' = -K_0 - K_1/y, E[x^2] = -d log Z / da at
     a = 1/4 is K_1 / (2y (K_0 + K_1)) = 4 K_1 / (K_0 + K_1) at y = 1/8.
     """
+    from scipy.special import k0, k1
+
     y = 0.125
     k0_y, k1_y = float(k0(y)), float(k1(y))
     return 4.0 * k1_y / (k0_y + k1_y), float(0.5 * np.exp(y) * (k0_y + k1_y))

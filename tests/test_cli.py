@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
+import pathlib
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -76,6 +79,22 @@ class TestGen:
         assert run_cli("gen", *argv) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error (gen): gen {option} has no effect")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--count", "0"), "gen --count must be in 1..4194303, got 0"),
+        (("--count", "4194304"), "gen --count must be in 1..4194303, got 4194304"),
+        (("--matrix", "0"), "gen --matrix must be >= 1, got 0"),
+    ], ids=["count-zero", "count-above-period", "matrix-zero"])
+    def test_bad_size_refused_before_the_period_is_built(self, capsys, monkeypatch,
+                                                          argv, message):
+        def no_period(config):
+            raise AssertionError("generate_cud called")
+
+        monkeypatch.setattr("lqmc.cli.generate_cud", no_period)
+        assert run_cli("gen", "-m", "22", *argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"error (gen): {message}\n"
         assert captured.out == ""
 
     def test_order_above_budget_refused(self, capsys):
@@ -503,3 +522,31 @@ class TestDiagnose:
         for m in (3, MAX_M):
             assert run_cli("diagnose", "--h", "0.5", "--steps", "1", "-m", str(m)) == EXIT_OK
             assert f"gcd(d*ell, 2^{m}-1)=" in capsys.readouterr().out
+
+
+class TestStartup:
+    def test_commands_drawing_no_normal_load_no_scipy(self, tmp_path):
+        # Import order is per process, so the check needs a fresh interpreter.
+        code = f"""
+import sys
+import numpy as np
+import lqmc, lqmc.cli
+points = {str(tmp_path / "gen.csv")!r}
+for argv in (["--output", points, "gen", "-m", "10"], ["gen", "--table"],
+             ["gen", "-m", "8", "--matrix", "3", "--shift-seed", "1"],
+             ["discrepancy", points, "--dim", "1", "--compare-iid", "2"]):
+    assert lqmc.cli.main(argv) == 0, argv
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, loaded
+u = np.arange(1, 2**12) / 2.0**12
+z = lqmc.inverse_normal_cdf(u)
+assert "scipy.special" in sys.modules
+from scipy.special import ndtri
+reference = np.where(u > 0.5, -ndtri(1.0 - u), ndtri(u))
+assert np.array_equal(z.view(np.int64), reference.view(np.int64))
+"""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr

@@ -325,11 +325,16 @@ assert abs(gt.second_moment[0] - _dw_moment_hermite()[0]) <= 1e-8
 
     def test_package_imports_no_scipy_but_special(self):
         # Static, so it covers paths no test calls: module-level and in-function
-        # imports alike.
+        # imports alike.  Only functions may import scipy.special, so that
+        # `import lqmc` loads no scipy module at all.
         src = pathlib.Path(__file__).resolve().parent.parent / "src" / "lqmc"
-        found = []
+        found, module_level = [], []
         for path in sorted(src.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            in_functions = {id(inner) for node in ast.walk(tree)
+                            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            for inner in ast.walk(node)}
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
@@ -338,10 +343,14 @@ assert abs(gt.second_moment[0] - _dw_moment_hermite()[0]) <= 1e-8
                     names = [node.module]
                 else:
                     continue
-                found += [f"{path.name}:{node.lineno} {name}" for name in names
-                          if name.split(".")[0] == "scipy"
-                          and name.split(".")[:2] != ["scipy", "special"]]
+                where = f"{path.name}:{node.lineno}"
+                scipy = [name for name in names if name.split(".")[0] == "scipy"]
+                found += [f"{where} {name}" for name in scipy
+                          if name.split(".")[:2] != ["scipy", "special"]]
+                if scipy and id(node) not in in_functions:
+                    module_level.append(where)
         assert not found, found
+        assert not module_level, module_level
 
 
 class TestGroundTruthIO:
