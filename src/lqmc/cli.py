@@ -23,7 +23,7 @@ from .drive import build_drive_matrix
 from .errors import (ConfigurationError, DataError, DivergenceError,
                      DomainError, LqmcError, SizeError, SpecError)
 from .experiment import M_RANGE, ExperimentSpec, ScheduleSpec, load_spec
-from .prng import BaselinePrng
+from .prng import SEED_RANGE, BaselinePrng
 from .samplers import PseudoRandomDrive, contraction_info, coupling_diagnostic
 
 EXIT_OK = 0
@@ -95,6 +95,15 @@ def _refuse(args, options, why: str) -> None:
     for option in options:
         if getattr(args, option.lstrip("-").replace("-", "_")) is not None:
             raise ConfigurationError(f"{args.command} {option} has no effect {why}")
+
+
+def _check_seeds(args) -> None:
+    """Refuse a seed option outside ``SEED_RANGE``: it would alias one inside."""
+    for option in ("--seed", "--shift-seed", "--data-seed"):
+        value = getattr(args, option.lstrip("-").replace("-", "_"), None)
+        if value is not None and value not in SEED_RANGE:
+            raise ConfigurationError(f"{args.command} {option} must be in 0..2^64 - 1, "
+                                     f"got {value}")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -385,6 +394,7 @@ def main(argv=None) -> int:
         "diagnose": _cmd_diagnose,
     }[args.command]
     try:
+        _check_seeds(args)
         return handler(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)

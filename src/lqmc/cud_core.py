@@ -129,10 +129,12 @@ _POLY_MASKS = {
 DEFAULT_OFFSET = 2
 TABLE_RANGE = range(3, 33)
 # Period budget: the largest m whose sequence is generated.  At m=26 the
-# states, the values and the decimation index of one period take about
-# 1.5 GiB; larger orders stay in the table for listing and primitivity.
+# states and the values of one period take 512 MiB each, and generating
+# it raises the RSS by about 1.0 GiB; larger orders stay in the table for
+# listing and primitivity.
 MAX_M = 26
 _LANES = 4096  # LFSR lanes advanced together by _states
+_BLOCK = 1 << 16  # period indices decimated together by generate_cud
 
 
 def builtin_poly(m: int) -> int:
@@ -301,14 +303,20 @@ def generate_cud(config: LfsrConfig) -> CudSequence:
 
     Requires a primitive characteristic polynomial (so the period really is
     2**m - 1); the offset condition gcd(s, 2**m - 1) = 1 is enforced by
-    ``LfsrConfig``.  Memory is O(2**m); m above ``MAX_M`` is refused.
+    ``LfsrConfig``.  Memory is two period-long arrays, the states and the
+    values, plus one block; m above ``MAX_M`` is refused.
     """
     if not is_primitive(config.poly_mask):
         raise ConfigurationError(f"polynomial 0x{config.poly_mask:x} is not primitive")
-    n = config.period
-    # values[i] is the window at bit s*i, i.e. state r_{s*i mod n} over 2**m
-    values = _states(config, n) * 2.0 ** -config.m
-    values = values[np.arange(n, dtype=np.int64) * (config.offset % n) % n]
+    n, s = config.period, config.offset % config.period
+    states = _states(config, n)
+    # values[i] is the window at bit s*i, i.e. state r_{s*i mod n} over 2**m,
+    # gathered block by block so no period-long index is ever built
+    values = np.empty(n)
+    for lo in range(0, n, _BLOCK):
+        i = np.arange(lo, min(lo + _BLOCK, n), dtype=np.int64)
+        values[lo:lo + len(i)] = states[i * s % n]
+    values *= 2.0 ** -config.m
     return CudSequence(values=values, config=config)
 
 

@@ -17,6 +17,7 @@ import yaml
 
 from .cud_core import MAX_M, TABLE_RANGE, LfsrConfig, builtin_config, is_primitive
 from .errors import ConfigurationError, SpecError
+from .prng import SEED_RANGE
 from .samplers import (ConstantSchedule, PolynomialSchedule, StepSchedule,
                        solve_polynomial_schedule)
 
@@ -91,6 +92,12 @@ def _check_integers(obj, names, optional=()) -> None:
             raise SpecError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_seed(obj, name, where) -> None:
+    """Refuse an integer seed outside ``SEED_RANGE``: it would alias one inside."""
+    if getattr(obj, name) not in SEED_RANGE:
+        raise SpecError(f"{where}{name} must be in 0..2^64 - 1, got {getattr(obj, name)}")
+
+
 def _check_numbers(obj, names, where="") -> None:
     """Refuse a field that is set but not a real number; a bool is not one."""
     for name in names:
@@ -110,6 +117,7 @@ class TruthSpec:
 
     def __post_init__(self):
         _check_integers(self, ("n_steps", "chains", "seed"))
+        _check_seed(self, "seed", "truth: ")
         _check_numbers(self, ("h",), "truth: ")
         if not 0 < self.h < math.inf or self.n_steps < 1 or self.chains < 2:
             raise SpecError("truth spec needs a finite h > 0, n_steps >= 1, chains >= 2")
@@ -184,6 +192,8 @@ class ExperimentSpec:
     def __post_init__(self):
         _check_integers(self, ("n_obs", "dim", "data_seed", "seed", "replicates"),
                         ("minibatch", "offset", "poly_mask", "burn_in_m", "n_override"))
+        _check_seed(self, "data_seed", "model: ")
+        _check_seed(self, "seed", "run: ")
         _check_numbers(self, ("noise_var",))
         if self.model not in MODELS:
             raise SpecError(f"unknown model {self.model!r}; expected one of {MODELS}")

@@ -39,6 +39,9 @@ _STREAM_MULT = 0xD1B54A32D192ED03
 _SEED_SALT = 0x243F6A8885A308D3
 _INV_2_53 = 2.0 ** -53
 _SETS_AHEAD = 1024  # uniforms of index sets computed ahead, whole sets, at least one
+# The seeds the generator takes: its key reads 64 bits of the seed, so a
+# seed outside 0 <= seed < 2**64 would alias one inside.
+SEED_RANGE = range(1 << 64)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -60,8 +63,10 @@ class BaselinePrng:
         if counter < 0:
             raise ValueError(f"counter must be nonnegative, got {counter}")
         self.seed = int(seed)
+        if self.seed not in SEED_RANGE:
+            raise ValueError(f"seed must be in 0..2^64 - 1, got {self.seed}")
         self.stream = int(stream)
-        k = _mix64(np.uint64((self.seed ^ _SEED_SALT) & 0xFFFFFFFFFFFFFFFF))
+        k = _mix64(np.uint64(self.seed ^ _SEED_SALT))
         k = _mix64(k ^ np.uint64((self.stream * _STREAM_MULT) & 0xFFFFFFFFFFFFFFFF))
         self._key = k
         self._counter = int(counter)  # outputs of the stream already consumed

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Union
 
 import numpy as np
@@ -374,5 +375,7 @@ def contraction_info(L: float, M: float, h: float, d: int, n: int) -> Contractio
     if not 0 < h * M < 1:
         raise DomainError("need 0 < h*M < 1 for a contraction factor in (0, 1)")
     rho = 1.0 - h * M
-    ell = max(1, math.ceil(0.5 * math.log(h) / math.log(rho)))
+    # log1p keeps log(rho) below 0 where 1 - h*M rounds to 1, and the exact
+    # quotient keeps ell an integer where the float quotient would overflow
+    ell = max(1, math.ceil(Fraction(0.5 * math.log(h)) / Fraction(math.log1p(-h * M))))
     return ContractionInfo(rho=rho, ell=ell, gcd_d_ell_n=math.gcd(d * ell, n))

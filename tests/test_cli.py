@@ -259,6 +259,18 @@ run: {replicates: 3, seed: 5, burn_in_m: 3, n_override: 9, test_functions: [coor
         assert meta["drive"][5]["poly_mask"] == "0x2f" and meta["drive"][4]["offset"] == 4
         assert meta["burn_in_n"] == spec.burn_in_n == 7
 
+    @pytest.mark.parametrize("h", ["1.0e-20", "5.0e-324"])
+    def test_step_size_that_rounds_rho_to_one_runs(self, tmp_path, h):
+        # 1 - h*M rounds to 1.0: ell divided by log(1.0) = 0, and at 5e-324
+        # log(h) / log1p(-h*M) overflows a float
+        spec = tmp_path / "tiny.yaml"
+        spec.write_text(self.SPEC.replace("h: 0.01", f"h: {h}"))
+        out = tmp_path / "report.csv"
+        assert run_cli("--output", str(out), "run", str(spec)) == EXIT_OK
+        meta = yaml.safe_load((tmp_path / "report.csv.meta.yaml").read_text())
+        (info,) = meta["contraction"].values()
+        assert info["rho"] == 1.0 and info["ell"] > 10**19
+
     def test_identical_bytes_on_rerun(self, tmp_path):
         spec = tmp_path / "tiny.yaml"
         spec.write_text(self.SPEC)
@@ -440,6 +452,45 @@ truth: {h: 0.001, n_steps: 1024, chains: 2, seed: 5}
         err = capsys.readouterr().err.strip().split("\n")
         assert err[0] == "truth: computing linear closed-form"
         assert re.fullmatch(r"truth: done in \d+\.\d s, not cached", err[1])
+
+
+class TestSeedRange:
+    """A seed outside 0..2^64 - 1 would alias one inside: exit 2, naming the key."""
+
+    @pytest.mark.parametrize("seed", [2**64, -1, 2**64 - 1])
+    @pytest.mark.parametrize("key, old, new", [
+        ("run: seed", "seed: 1,", "seed: {},"),
+        ("model: data_seed", "data_seed: 4", "data_seed: {}"),
+        ("truth: seed", "seed: 5", "seed: {}"),
+    ], ids=["run", "model", "truth"])
+    def test_spec_seeds(self, tmp_path, capsys, key, old, new, seed):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(TestRunTruthProgress.SPEC.replace(old, new.format(seed)))
+        code = run_cli("--output", str(tmp_path / "report.csv"), "run", str(spec))
+        if seed == 2**64 - 1:
+            assert code == EXIT_OK
+        else:
+            assert code == EXIT_VALIDATION
+            assert f"{key} must be in 0..2^64 - 1, got {seed}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [2**64, -1, 2**64 - 1])
+    @pytest.mark.parametrize("option, argv", [
+        ("--seed", ["discrepancy", "{points}", "--dim", "1", "--compare-iid", "2"]),
+        ("--shift-seed", ["gen", "-m", "5", "--matrix", "2"]),
+        ("--data-seed", ["diagnose", "--model", "linear", "--h", "0.01", "--steps", "3"]),
+    ])
+    def test_option_seeds(self, tmp_path, capsys, option, argv, seed):
+        points = tmp_path / "pts.csv"
+        points.write_text("0.5\n")
+        argv = [a.format(points=points) for a in argv]
+        argv = ([f"--seed={seed}"] + argv if option == "--seed"
+                else argv + [f"{option}={seed}"])
+        code = run_cli("--output", str(tmp_path / "out.csv"), *argv)
+        if seed == 2**64 - 1:
+            assert code == EXIT_OK
+        else:
+            assert code == EXIT_VALIDATION
+            assert f"{option} must be in 0..2^64 - 1, got {seed}" in capsys.readouterr().err
 
 
 class TestDiagnose:

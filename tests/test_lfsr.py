@@ -1,6 +1,7 @@
 """LFSR bitstreams and full-period driving sequences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,17 +89,29 @@ class TestLaneStepper:
         cfg = LfsrConfig(mask, offset=1)
         assert lfsr_period(cfg) == naive_lfsr_period(coeffs_of(mask), start(cfg.m))
 
-    @pytest.mark.parametrize("m", range(3, 13))
+    @pytest.mark.parametrize("m", [*range(3, 13), 18])
     def test_cud_matches_window_formula(self, m):
         n = 2**m - 1
         cfg = builtin_config(m)
         bits = np.array(oracle_bits(coeffs_of(cfg.poly_mask), start(m), n + m - 1))
-        for s in (s for s in range(1, 20) if math.gcd(s, n) == 1):
+        # m = 18 spans several decimation blocks; 7 divides 2^18 - 1, so 5 stands in
+        offsets = range(1, 20) if m <= 12 else (1, 2, 5, n - 1, n + 2)
+        for s in (s for s in offsets if math.gcd(s, n) == 1):
             starts = np.arange(n) * s % n
             expected = np.zeros(n)
             for j in range(m):
                 expected += bits[starts + j] * 2.0 ** -(j + 1)
             assert np.array_equal(generate_cud(builtin_config(m, s)).values, expected), s
+
+    def test_cud_peak_memory_below_two_and_a_half_outputs(self):
+        # the states and the values, plus one block of index and gather
+        tracemalloc.start()
+        try:
+            values = generate_cud(builtin_config(20, 7)).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * values.nbytes
 
     def test_sizes_above_the_budget_refused(self):
         big = builtin_config(MAX_M + 1)

@@ -37,6 +37,12 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="counter"):
             BaselinePrng(0, 3, counter=-1)
 
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_seed_outside_64_bits_refused_at_construction(self, seed):
+        # reduced mod 2^64, 2^64 drew the stream of seed 0
+        with pytest.raises(ValueError, match="seed must be in 0..2\\^64 - 1"):
+            BaselinePrng(seed)
+
     def test_uniform_moments(self):
         u = BaselinePrng(12).uniform(200_000)
         assert u.mean() == pytest.approx(0.5, abs=0.005)
