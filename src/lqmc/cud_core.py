@@ -311,11 +311,13 @@ def generate_cud(config: LfsrConfig) -> CudSequence:
     n, s = config.period, config.offset % config.period
     states = _states(config, n)
     # values[i] is the window at bit s*i, i.e. state r_{s*i mod n} over 2**m,
-    # gathered block by block so no period-long index is ever built
+    # gathered one block of indices at a time, each computed in place
     values = np.empty(n)
     for lo in range(0, n, _BLOCK):
         i = np.arange(lo, min(lo + _BLOCK, n), dtype=np.int64)
-        values[lo:lo + len(i)] = states[i * s % n]
+        i *= s
+        i %= n
+        values[lo:lo + len(i)] = states[i]
     values *= 2.0 ** -config.m
     return CudSequence(values=values, config=config)
 

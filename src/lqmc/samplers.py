@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Union
 
 import numpy as np
@@ -376,6 +375,8 @@ def contraction_info(L: float, M: float, h: float, d: int, n: int) -> Contractio
         raise DomainError("need 0 < h*M < 1 for a contraction factor in (0, 1)")
     rho = 1.0 - h * M
     # log1p keeps log(rho) below 0 where 1 - h*M rounds to 1, and the exact
-    # quotient keeps ell an integer where the float quotient would overflow
-    ell = max(1, math.ceil(Fraction(0.5 * math.log(h)) / Fraction(math.log1p(-h * M))))
+    # integer quotient keeps ell finite where the float quotient overflows
+    a, b = (0.5 * math.log(h)).as_integer_ratio()
+    c, e = math.log1p(-h * M).as_integer_ratio()
+    ell = max(1, -(-a * e // (b * c)))  # ceil((a / b) / (c / e))
     return ContractionInfo(rho=rho, ell=ell, gcd_d_ell_n=math.gcd(d * ell, n))
