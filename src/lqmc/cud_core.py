@@ -134,7 +134,7 @@ TABLE_RANGE = range(3, 33)
 # listing and primitivity.
 MAX_M = 26
 _LANES = 4096  # LFSR lanes advanced together by _states
-_BLOCK = 1 << 16  # period indices decimated together by generate_cud
+_BLOCK = 1 << 12  # period indices decimated together by generate_cud
 
 
 def builtin_poly(m: int) -> int:
