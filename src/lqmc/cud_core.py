@@ -245,8 +245,9 @@ def _states(config: LfsrConfig, count: int) -> np.ndarray:
         g = _gf2_powmod(2, k * steps, config.poly_mask, m)
         # images[j]: state 2**j after k*steps steps, sum of powers[i] over the x^i of g
         images = np.bitwise_xor.reduce(powers[[i for i in range(m) if g >> i & 1]])
-        bits = (r[:k, None] >> np.arange(m, dtype=np.uint64)) & one
-        r[k:2 * k] = np.bitwise_xor.reduce(bits * images, axis=1)
+        r[k:2 * k] = 0
+        for j in range(m):  # xor in images[j] where bit j is set, with (k,) temporaries
+            r[k:2 * k] ^= ((r[:k] >> np.uint64(j)) & one) * images[j]
         k *= 2
     out = np.empty((lanes, steps), dtype=np.uint64)
     for t in range(steps):

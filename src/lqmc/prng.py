@@ -45,11 +45,15 @@ SEED_RANGE = range(1 << 64)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, vectorized over uint64 arrays (mod-2**64 wraparound)."""
+    """SplitMix64 finalizer over a uint64 array the caller owns, which it
+    overwrites and returns (mod-2**64 wraparound)."""
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    return z
 
 
 class BaselinePrng:
@@ -66,20 +70,23 @@ class BaselinePrng:
         if self.seed not in SEED_RANGE:
             raise ValueError(f"seed must be in 0..2^64 - 1, got {self.seed}")
         self.stream = int(stream)
-        k = _mix64(np.uint64(self.seed ^ _SEED_SALT))
-        k = _mix64(k ^ np.uint64((self.stream * _STREAM_MULT) & 0xFFFFFFFFFFFFFFFF))
-        self._key = k
+        k = _mix64(np.array([self.seed ^ _SEED_SALT], dtype=np.uint64))
+        k ^= np.uint64((self.stream * _STREAM_MULT) & 0xFFFFFFFFFFFFFFFF)
+        self._key = _mix64(k)[0]
         self._counter = int(counter)  # outputs of the stream already consumed
         self._sets = np.empty((0, 0), dtype=np.int64)  # look-ahead index sets: row i ...
         self._sets_key = (0, 0, 0)  # ... is draw (n, k) from output start + i * k on
 
     def _words(self, start: int, count: int) -> np.ndarray:
-        idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            return _mix64(self._key + idx * np.uint64(_GAMMA))
+            z = np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+            z += self._key
+        return _mix64(z)
 
     def _uniforms(self, start: int, count: int) -> np.ndarray:
-        return (self._words(start, count) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        u = (self._words(start, count) >> np.uint64(11)).astype(np.float64)
+        u *= _INV_2_53
+        return u
 
     def _take(self, count: int) -> int:
         """Consume the next ``count`` outputs; the index of the first."""

@@ -24,7 +24,7 @@ from .errors import ConfigurationError, DivergenceError, DomainError
 from .prng import BaselinePrng
 
 _NORM_CAP_SQ = 1e16  # ||theta|| > 1e8 aborts the chain
-_BLOCK = 256  # steps per xi block of the chain loop, or enough for _BLOCK_NORMALS xi a row;
+_BLOCK = 256  # steps per block of the chain loop, or enough for _BLOCK_NORMALS xi a row;
 _BLOCK_NORMALS = 1024  # the states do not depend on the block, but sums are grouped by it
 
 # ---------------------------------------------------------------------------
@@ -220,11 +220,15 @@ def run_chain(potential, config, observe=None) -> ChainRun | np.ndarray:
     """Run one chain, or a ``ChainBatch`` side by side as one (B, d) state.
 
     ``observe``, unless None, receives each (b, B, d) block of states as it
-    is made (B = 1 for a lone chain).  A ``ChainConfig`` returns its
-    ``ChainRun``; a ``ChainBatch`` keeps no trajectory and returns the final
-    (B, d) state.  Gradients are exact (``grad_batch`` on the (B, d) state)
-    or one minibatch ``sgrad`` per row.  Each row reads xi from its own drive
-    in blocks of max(_BLOCK, ceil(_BLOCK_NORMALS / d)) steps.  Every baseline stream
+    is made (B = 1 for a lone chain), a fresh array it may keep.  A
+    ``ChainConfig`` returns its ``ChainRun``; a ``ChainBatch`` keeps no
+    trajectory and returns the final (B, d) state.  Gradients are exact
+    (``grad_batch`` on the (B, d) state) or one minibatch ``sgrad`` per row.
+    The loop steps blocks of b = max(_BLOCK, ceil(_BLOCK_NORMALS / d)) steps:
+    each row reads its xi from its own drive into its column of the block,
+    which is scaled by sqrt(2 h_k) in place, and each state overwrites the
+    xi it has used.  So the loop holds one (b, B, d) block and one row's
+    read, and drops the block before the next.  Every baseline stream
     a row reads (a ``PseudoRandomDrive``, the minibatch indices) starts at
     the draws of iteration ``schedule_start``, so a chain continued on the
     same streams carries them on.  A row leaving ||theta|| <= 1e8 raises
@@ -258,12 +262,13 @@ def run_chain(potential, config, observe=None) -> ChainRun | np.ndarray:
     traj = None if batch is config else np.empty((n, d))
     for k in range(0, n, step := max(_BLOCK, -(-_BLOCK_NORMALS // max(d, 1)))):
         b = min(step, n - k)
-        noise = np.stack([read(k, k + b) for read in readers], axis=1)  # xi of the block
-        noise *= sq2h[k:k + b, None, None]
-        block = np.empty((b,) + theta.shape)
+        block = np.empty((b,) + theta.shape)  # xi of the block, then its states
+        for i, read in enumerate(readers):
+            block[:, i] = read(k, k + b)
+        block *= sq2h[k:k + b, None, None]
         with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
-            for j in range(b):
-                theta = block[j] = theta - hs[k + j] * grad_of(theta) + noise[j]
+            for j in range(b):  # state j overwrites the noise it has used
+                theta = block[j] = theta - hs[k + j] * grad_of(theta) + block[j]
         ok = np.einsum("jid,jid->ji", block, block) <= _NORM_CAP_SQ  # False for NaN too
         if not ok.all():
             j, row = np.unravel_index(np.argmin(ok), ok.shape)  # first step, then first row
@@ -273,19 +278,23 @@ def run_chain(potential, config, observe=None) -> ChainRun | np.ndarray:
             observe(block)
         if traj is not None:
             traj[k:k + b] = block[:, 0]
+        del block  # the next block may reuse its memory
     return theta if traj is None else ChainRun(traj, config, potential)
 
 
 def sample_means(potential, batch: ChainBatch, observe=None) -> np.ndarray:
     """Per-chain averages of theta, theta**2 and 1{theta > 0} (the coordinate,
     square and indicator test functions) over the batch's steps, (3, B, d).
-    ``observe``, unless None, then receives each (b, B, d) block, as from
-    ``run_chain``: the states these averages are made of."""
+    Each block is summed over its steps, the squares one chain at a time, so
+    beyond ``run_chain``'s block this holds one chain's squares and the
+    block's signs.  ``observe``, unless None, then receives each (b, B, d)
+    block, as from ``run_chain``: the states these averages are made of."""
     sums = np.zeros((3, len(batch.chains), potential.dim))
 
     def reduce(block):
         sums[0] += block.sum(axis=0)
-        sums[1] += (block**2).sum(axis=0)
+        for i in range(block.shape[1]):  # one chain's squares at a time
+            sums[1, i] += (block[:, i]**2).sum(axis=0)
         sums[2] += (block > 0).sum(axis=0)
         if observe is not None:
             observe(block)

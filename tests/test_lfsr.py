@@ -113,6 +113,19 @@ class TestLaneStepper:
             tracemalloc.stop()
         assert peak <= 2.5 * values.nbytes
 
+    def test_cud_peak_memory_is_the_period_for_every_order(self):
+        # Short periods too: the lane jumps use (k,) temporaries, so beyond
+        # the states and the values only a few lane-long arrays remain
+        allowance = 5 * 4096 * 8
+        for m in range(3, 21):
+            tracemalloc.start()
+            try:
+                values = generate_cud(builtin_config(m)).values
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.1 * values.nbytes + allowance, m
+
     def test_sizes_above_the_budget_refused(self):
         big = builtin_config(MAX_M + 1)
         with pytest.raises(SizeError):

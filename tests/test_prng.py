@@ -1,5 +1,7 @@
 """Baseline counter-based generator: reproducibility is the whole contract."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,34 @@ class TestDeterminism:
         base = BaselinePrng(0).uint64(4)
         assert not np.array_equal(base, BaselinePrng(1).uint64(4))
         assert not np.array_equal(base, BaselinePrng(0, 1).uint64(4))
+
+    @pytest.mark.parametrize("seed, stream, counter", [(0, 0, 0), (2**64 - 1, 5, 9),
+                                                       (77, 2**70 + 3, 2**63)])
+    def test_words_follow_the_documented_construction(self, seed, stream, counter):
+        mask = (1 << 64) - 1
+
+        def mix(z):
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        key = mix(mix(seed ^ 0x243F6A8885A308D3) ^ (stream * 0xD1B54A32D192ED03 & mask))
+        words = [mix((key + (counter + i + 1) * 0x9E3779B97F4A7C15) & mask) for i in range(6)]
+        g = BaselinePrng(seed, stream, counter)
+        assert [int(v) for v in g.uint64(3)] == words[:3]
+        assert g.uniform(3).tolist() == [(w >> 11) * 2.0**-53 for w in words[3:]]
+
+    def test_uniform_peak_memory_is_two_outputs(self):
+        # the words are mixed in place, then converted once
+        g = BaselinePrng(4)
+        g.uniform(25_600)
+        tracemalloc.start()
+        try:
+            u = g.uniform(25_600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * u.nbytes
 
     def test_uniform_range(self):
         u = BaselinePrng(3).uniform(10_000)

@@ -1,6 +1,8 @@
 """Chain mechanics: updates, schedules, drives, continuation, coupling."""
 
+import tracemalloc
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -200,6 +202,62 @@ class TestRunChain:
         body = np.loadtxt(path, delimiter=",")
         assert body.shape == (5, 3)
         assert np.array_equal(body[:, 1:], run.trajectory)
+
+
+class TestChainBlocks:
+    """The loop reads xi into the block its states overwrite, and holds one
+    block at a time: what the sums and the observers see stays the same."""
+
+    @staticmethod
+    def mixed_batch(d, n):
+        # one chain per drive kind, and a second pseudo-random one
+        matrix = build_drive_matrix(generate_cud(builtin_config(12)), d, rng=BaselinePrng(2))
+        gauss = GaussianDrive(xi=clamped_normal(BaselinePrng(9).uniform(n * d)).reshape(n, d))
+        drives = (gauss, matrix, PseudoRandomDrive(5, stream=3), PseudoRandomDrive(6))
+        theta0 = np.linspace(-2.0, 2.0, len(drives) * d).reshape(len(drives), d)
+        return ChainBatch(tuple(ChainConfig(t0, n, PolynomialSchedule(c0=0.2, c1=3.0), drv)
+                                for t0, drv in zip(theta0, drives)),
+                          ("gauss", "matrix", "prng", "prng2"))
+
+    def test_sample_means_peak_below_one_and_a_half_blocks(self):
+        # 12 chains, d = 100, three blocks: the block of states, one chain's
+        # read and one chain's squares, not a stack of reads beside the block
+        d, chains, b = 100, 12, samplers._BLOCK
+        pot = standard_gaussian_potential(d)
+        batch = ChainBatch(tuple(ChainConfig(np.zeros(d), 3 * b, ConstantSchedule(0.01),
+                                             PseudoRandomDrive(3, stream=i))
+                                 for i in range(chains)), tuple(map(str, range(chains))))
+        samplers.sample_means(pot, batch)  # the first call loads scipy.special
+        tracemalloc.start()
+        try:
+            samplers.sample_means(pot, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * b * chains * d * 8
+
+    def test_sample_means_are_the_block_sums(self):
+        d, n = 40, 600  # blocks of 256, 256 and 88 steps
+        pot, batch, blocks = standard_gaussian_potential(d), self.mixed_batch(d, n), []
+        means = samplers.sample_means(pot, batch, blocks.append)
+        assert [len(block) for block in blocks] == [256, 256, 88]
+        sums = np.zeros((3, 4, d))
+        for block in blocks:
+            sums[0] += block.sum(0)
+            sums[1] += (block**2).sum(0)
+            sums[2] += (block > 0).sum(0)
+        assert np.array_equal(means, sums / n)
+
+    def test_kept_blocks_are_not_reused(self):
+        # an observer that keeps the blocks uncopied still holds the states
+        d, n = 40, 600
+        pot, batch, kept, copies = standard_gaussian_potential(d), self.mixed_batch(d, n), [], []
+        final = run_chain(pot, batch, kept.append)
+        run_chain(pot, batch, lambda block: copies.append(block.copy()))
+        assert len(kept) == 3
+        assert not any(np.shares_memory(a, b) for a, b in combinations(kept, 2))
+        assert np.array_equal(np.concatenate(kept), np.concatenate(copies))
+        assert np.array_equal(kept[-1][-1], final)
 
 
 class TestStochasticGradients:
