@@ -24,8 +24,8 @@ from .errors import ConfigurationError, DivergenceError, DomainError
 from .prng import BaselinePrng
 
 _NORM_CAP_SQ = 1e16  # ||theta|| > 1e8 aborts the chain
-_BLOCK = 256  # steps per block of the chain loop, or enough for _BLOCK_NORMALS xi a row;
-_BLOCK_NORMALS = 1024  # the states do not depend on the block, but sums are grouped by it
+_BLOCK = 256  # steps per chain-loop block (one array: its xi, then its states), or
+_BLOCK_NORMALS = 1024  # enough for this many xi a row; only the grouping of sums depends on it
 
 # ---------------------------------------------------------------------------
 # Step-size schedules
