@@ -192,12 +192,14 @@ def logistic_potential(data: SyntheticDataset) -> Potential:
         return float(np.logaddexp(0.0, t).sum() - y @ t + 0.5 * beta @ beta)
 
     def grad(beta):  # a vector or an (s, d) stack
-        return (expit(beta @ X.T) - y) @ X + beta
+        return (expit(beta.dot(X.T)) - y).dot(X) + beta
 
-    def sgrad(beta, idx):
-        xb = X[idx]
-        scale = n_data / len(idx)
-        return beta + scale * (xb.T @ (expit(xb @ beta) - y[idx]))
+    def sgrad(beta, idx):  # .dot, not @: the same BLAS call without matmul's dispatch
+        xb = X.take(idx, axis=0)
+        g = xb.T.dot(expit(xb.dot(beta)) - y.take(idx))
+        g *= n_data / len(idx)
+        g += beta
+        return g
 
     lam_max = float(np.linalg.eigvalsh(X.T @ X).max()) if n_data else 0.0
     return Potential(
@@ -227,12 +229,15 @@ def linear_regression_potential(data: SyntheticDataset) -> Potential:
         return float(0.5 * (r @ r) / sigma2 + 0.5 * beta @ beta)
 
     def grad(beta):  # a vector or an (s, d) stack
-        return (beta @ X.T - y) @ X / sigma2 + beta
+        return (beta.dot(X.T) - y).dot(X) / sigma2 + beta
 
     def sgrad(beta, idx):
-        xb = X[idx]
-        scale = n_data / len(idx)
-        return beta + scale * (xb.T @ (xb @ beta - y[idx])) / sigma2
+        xb = X.take(idx, axis=0)
+        g = xb.T.dot(xb.dot(beta) - y.take(idx))
+        g *= n_data / len(idx)
+        g /= sigma2
+        g += beta
+        return g
 
     return Potential(
         dim=d, value=value, grad=grad, grad_batch=grad, sgrad=sgrad,
@@ -324,8 +329,8 @@ def crossed_effects_potential(Y: np.ndarray) -> Potential:
 
     def grad(th):
         ab = th[..., 1:-2]
-        p = ab * np.exp(th @ S)
-        return np.concatenate([th, p, p * ab], axis=-1) @ B - c
+        p = ab * np.exp(th.dot(S))
+        return np.concatenate([th, p, p * ab], axis=-1).dot(B) - c
 
     return Potential(dim=d, value=value, grad=grad, grad_batch=grad, name="crossed")
 

@@ -248,12 +248,12 @@ def run_chain(potential, config, observe=None) -> ChainRun | np.ndarray:
                 f"potential {potential.name!r} does not support stochastic gradients")
         if n_data is None or size > n_data:
             raise ConfigurationError("minibatch size exceeds the dataset")
-        rngs = [BaselinePrng(c.minibatch_seed, c.minibatch_stream, counter=(start - 1) * size)
-                for c in batch.chains]
+        sgrad = potential.sgrad
+        draws = [BaselinePrng(c.minibatch_seed, c.minibatch_stream,
+                              counter=(start - 1) * size).index_subset for c in batch.chains]
 
         def grad_of(theta):
-            return np.array([potential.sgrad(x, rng.index_subset(n_data, size))
-                             for x, rng in zip(theta, rngs)])
+            return np.array([sgrad(x, draw(n_data, size)) for x, draw in zip(theta, draws)])
     else:
         grad_of = potential.grad_batch
     hs = head.schedule.step_sizes(n, start=start)

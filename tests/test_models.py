@@ -259,6 +259,69 @@ class TestCrossedEffects:
             run_chain(pot, chains[1])
 
 
+def same_bits(got, expect):
+    assert got.shape == expect.shape and got.dtype == expect.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+class TestGradientBits:
+    """Each gradient closure returns the bits of its plain ``X[idx]`` and ``@``
+    expression, written out here, on every state shape and index set its
+    callers pass: ``.dot`` makes the same BLAS call as ``@``, and the in-place
+    finish keeps the order of the operations."""
+
+    STATES = [None, 1, 10, 40]  # a vector, a lone chain, the oracle's 10 chains, a cell's 40
+
+    @staticmethod
+    def states(d, seed):
+        for rows in TestGradientBits.STATES:
+            shape = (d,) if rows is None else (rows, d)
+            yield BaselinePrng(seed, 3).uniform(math.prod(shape)).reshape(shape) * 2 - 1
+
+    @staticmethod
+    def index_sets(n):
+        draws = BaselinePrng(9, 2)
+        return [draws.index_subset(n, 10), draws.index_subset(n, 10), np.array([7]),
+                np.array([4, 4, 4, 17, 4]), np.arange(n), np.arange(n)[::-1].copy()]
+
+    def test_logistic(self):
+        from scipy.special import expit
+
+        data = synthesize_data("logistic", 100, 10, seed=3)
+        pot, X, y = logistic_potential(data), data.X, data.y
+        for beta in self.states(10, 1):
+            same_bits(pot.grad(beta), (expit(beta @ X.T) - y) @ X + beta)
+        beta = next(self.states(10, 2))  # sgrad takes one chain's vector
+        for idx in self.index_sets(100):
+            xb = X[idx]
+            scale = 100 / len(idx)
+            same_bits(pot.sgrad(beta, idx), beta + scale * (xb.T @ (expit(xb @ beta) - y[idx])))
+
+    @pytest.mark.parametrize("noise_var", [0.25, 0.3])  # 0.3: dividing by it rounds
+    def test_linear(self, noise_var):
+        data = synthesize_data("linear", 20, 100, seed=51, noise_var=noise_var)
+        pot, X, y, sigma2 = linear_regression_potential(data), data.X, data.y, data.noise_var
+        for beta in self.states(100, 1):
+            same_bits(pot.grad(beta), (beta @ X.T - y) @ X / sigma2 + beta)
+        beta = next(self.states(100, 2))
+        for idx in self.index_sets(20):
+            xb = X[idx]
+            scale = 20 / len(idx)
+            same_bits(pot.sgrad(beta, idx),
+                      beta + scale * (xb.T @ (xb @ beta - y[idx])) / sigma2)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5)])
+    def test_crossed(self, shape):
+        pot = crossed_effects_potential(synthesize_data("crossed", *shape, seed=11).y)
+        const = dict(zip(pot.grad.__code__.co_freevars,
+                         (cell.cell_contents for cell in pot.grad.__closure__)))
+        B, S, c = const["B"], const["S"], const["c"]
+        for th in self.states(pot.dim, 4):
+            ab = th[..., 1:-2]
+            p = ab * np.exp(th @ S)
+            same_bits(pot.grad(th), np.concatenate([th, p, p * ab], axis=-1) @ B - c)
+
+
 class TestDoubleWell:
     def test_stationary_points(self):
         pot = double_well_potential()
