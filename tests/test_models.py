@@ -270,12 +270,10 @@ class TestGradientBits:
     callers pass: ``.dot`` makes the same BLAS call as ``@``, and the in-place
     finish keeps the order of the operations."""
 
-    STATES = [None, 1, 10, 40]  # a vector, a lone chain, the oracle's 10 chains, a cell's 40
-
     @staticmethod
     def states(d, seed):
-        for rows in TestGradientBits.STATES:
-            shape = (d,) if rows is None else (rows, d)
+        """A vector, a lone chain, the oracle's 10 chains and a cell's 40."""
+        for shape in [(d,), (1, d), (10, d), (40, d)]:
             yield BaselinePrng(seed, 3).uniform(math.prod(shape)).reshape(shape) * 2 - 1
 
     @staticmethod
