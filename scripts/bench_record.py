@@ -7,10 +7,14 @@ checkout of the parent and in one of the change (each run leaves
 
     python3 scripts/bench_record.py --parent ../parent --change . --topic cud
 
-Per side and workload the file holds every run's end-to-end metrics and
-their median; per workload it holds, over the seeds both sides ran, how
-many pairs the change won on each metric and the median change/parent
-ratio.  Each side records its git commit (``-dirty`` when ``src/`` has
+Per side and workload the file holds every run's end-to-end metrics, their
+median and their quartiles; per workload it holds, over the seeds both
+sides ran, how many pairs the change won and tied on each metric, the
+median change/parent ratio, and whether the gain is ``resolved``: the
+change won at least 9 in 10 of the pairs, and its median is lower than the
+parent's by more than the parent's interquartile range (both over those
+pairs).  Quartiles are ``statistics.quantiles(..., method="inclusive")``,
+numpy's default linear interpolation.  Each side records its git commit (``-dirty`` when ``src/`` has
 uncommitted edits) and a sha256 of its ``src/`` files, which names the
 measured code even when it was not committed; a side outside any git
 checkout records ``commit: null`` and gets a warning on stderr.  Machine
@@ -67,6 +71,15 @@ def read_runs(root: pathlib.Path) -> dict[str, list[dict]]:
     return runs
 
 
+def quartiles(values) -> list[float]:
+    """[q1, q3] of ``values`` (one value is its own quartiles)."""
+    values = list(values)
+    if len(values) == 1:
+        return values * 2
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
 def side(root: pathlib.Path, runs) -> dict:
     return {
         "commit": git_commit(root),
@@ -74,7 +87,8 @@ def side(root: pathlib.Path, runs) -> dict:
         "workloads": {
             name: {"runs": [{k: r[k] for k in ("seed", *METRICS, "failed", "attempted")}
                             for r in group],
-                   "median": {m: statistics.median(r[m] for r in group) for m in METRICS}}
+                   "median": {m: statistics.median(r[m] for r in group) for m in METRICS},
+                   "quartiles": {m: quartiles(r[m] for r in group) for m in METRICS}}
             for name, group in sorted(runs.items())
         },
     }
@@ -88,11 +102,23 @@ def pairs(parent_runs, change_runs) -> dict:
         seeds = sorted(set(before) & set(after))
         if not seeds:
             continue
-        out[name] = {"seeds": seeds, **{m: {
-            "change_wins": sum(after[s][m] < before[s][m] for s in seeds),
-            "median_ratio": statistics.median(after[s][m] / before[s][m] for s in seeds),
-        } for m in METRICS}}
+        out[name] = {"seeds": seeds, **{m: claim([before[s][m] for s in seeds],
+                                                 [after[s][m] for s in seeds])
+                                          for m in METRICS}}
     return out
+
+
+def claim(before: list[float], after: list[float]) -> dict:
+    """Wins, ties, median ratio and the claim rule over pairs (before[i], after[i])."""
+    wins = sum(a < b for b, a in zip(before, after))
+    q1, q3 = quartiles(before)
+    gap = statistics.median(before) - statistics.median(after)
+    return {
+        "change_wins": wins,
+        "ties": sum(a == b for b, a in zip(before, after)),
+        "median_ratio": statistics.median(a / b for b, a in zip(before, after)),
+        "resolved": 10 * wins >= 9 * len(before) and gap > q3 - q1,
+    }
 
 
 def main(argv=None) -> int:
@@ -127,8 +153,9 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(record, indent=1) + "\n")
     for name, p in record["pairs"].items():
         print(f"{name}: " + ", ".join(
-            f"{m} {p[m]['change_wins']}/{len(p['seeds'])} wins, "
-            f"median ratio {p[m]['median_ratio']:.3f}" for m in METRICS))
+            f"{m} {p[m]['change_wins']}/{len(p['seeds'])} wins, {p[m]['ties']} ties, "
+            f"median ratio {p[m]['median_ratio']:.3f}, "
+            f"{'resolved' if p[m]['resolved'] else 'unresolved'}" for m in METRICS))
     print(f"-> {out}")
     return 0
 

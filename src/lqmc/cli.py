@@ -2,7 +2,8 @@
 
 Every subcommand is deterministic given its full argument/seed set.  Exit
 codes: 0 success, 2 validation/configuration failure, 3 runtime failure,
-4 numeric divergence.
+4 numeric divergence.  ``run`` and ``diagnose`` import the chain, model and
+spec modules themselves, so that ``gen`` and ``discrepancy`` start without them.
 """
 
 from __future__ import annotations
@@ -14,17 +15,13 @@ import os
 import sys
 
 import numpy as np
-import yaml
 
-from . import bench, models
 from .cud_core import (MAX_M, PointSet, builtin_config, generate_cud,
                        star_discrepancy_1d, star_discrepancy_2d, table_listing)
 from .drive import build_drive_matrix
 from .errors import (ConfigurationError, DataError, DivergenceError,
                      DomainError, LqmcError, SizeError, SpecError)
-from .experiment import M_RANGE, ExperimentSpec, ScheduleSpec, load_spec
 from .prng import SEED_RANGE, BaselinePrng
-from .samplers import PseudoRandomDrive, contraction_info, coupling_diagnostic
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -296,6 +293,8 @@ def _cmd_discrepancy(args) -> int:
     value = disc(points)
     lines = [f"n={len(points)} dim={args.dim} star_discrepancy={value:.12g}"]
     if args.compare_iid is not None:
+        from . import bench
+
         vals = []
         for i in range(args.compare_iid):
             iid = bench.iid_pointset(len(points), args.dim, args.seed, stream=i)
@@ -313,6 +312,11 @@ def _cmd_discrepancy(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    import yaml
+
+    from . import bench
+    from .experiment import load_spec
+
     spec = load_spec(args.spec)
     output = args.output or spec.output
     folders = [os.path.dirname(p or "") for p in (output, args.per_replicate, args.truth_cache)]
@@ -337,6 +341,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    from . import bench, models
+    from .experiment import M_RANGE, ExperimentSpec, ScheduleSpec
+    from .samplers import PseudoRandomDrive, contraction_info, coupling_diagnostic
+
     _refuse(args, {"quadratic": ("--n-obs", "--data-seed"),
                    "double_well": ("--dim", "--n-obs", "--data-seed")}.get(args.model, ()),
             f"with --model {args.model}")

@@ -585,8 +585,12 @@ import lqmc, lqmc.cli
 points = {str(tmp_path / "gen.csv")!r}
 for argv in (["--output", points, "gen", "-m", "10"], ["gen", "--table"],
              ["gen", "-m", "8", "--matrix", "3", "--shift-seed", "1"],
-             ["discrepancy", points, "--dim", "1", "--compare-iid", "2"]):
+             ["discrepancy", points, "--dim", "1"]):
     assert lqmc.cli.main(argv) == 0, argv
+chain = ("yaml", "lqmc.bench", "lqmc.models", "lqmc.samplers", "lqmc.experiment")
+loaded = [m for m in chain if m in sys.modules]
+assert not loaded, loaded
+assert lqmc.cli.main(["discrepancy", points, "--dim", "1", "--compare-iid", "2"]) == 0
 loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
 assert not loaded, loaded
 u = np.arange(1, 2**12) / 2.0**12
@@ -601,3 +605,61 @@ assert np.array_equal(z.view(np.int64), reference.view(np.int64))
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=False)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestNamespace:
+    """``lqmc`` exports the same names as when it imported every submodule."""
+
+    NAMES = [
+        "BaselinePrng", "ChainBatch", "ChainConfig", "ChainRun", "ConfigurationError",
+        "ConstantSchedule", "CudSequence", "DataError", "DivergenceError", "DomainError",
+        "DriveMatrix", "ExperimentSpec", "GaussianDrive", "GroundTruth", "LfsrConfig",
+        "LqmcError", "MseReport", "PointSet", "PolynomialSchedule", "Potential",
+        "PseudoRandomDrive", "ScheduleSpec", "SizeError", "SpecError", "SyntheticDataset",
+        "TruthSpec", "build_drive_matrix", "builtin_config", "builtin_poly",
+        "closed_form_posterior", "continue_chain", "contraction_info", "coprime_width",
+        "coupling_diagnostic", "crossed_effects_potential", "double_well_potential",
+        "double_well_truth", "gaussian_rows", "generate_cud", "iid_pointset",
+        "inverse_normal_cdf", "is_primitive", "lcg_demo", "lfsr_bitstream", "lfsr_period",
+        "linear_regression_potential", "load_spec", "logistic_potential",
+        "overlapping_tuples", "reference_ground_truth", "run_chain", "run_comparison",
+        "smallest_primitive_root", "solve_polynomial_schedule",
+        "standard_gaussian_potential", "star_discrepancy_1d", "star_discrepancy_2d",
+        "synthesize_data", "table_listing",
+    ]
+
+    def test_all_lists_the_exported_names(self):
+        import lqmc
+
+        assert sorted(lqmc.__all__) == self.NAMES
+        assert set(self.NAMES) <= set(dir(lqmc))
+        namespace = {}
+        exec("from lqmc import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(self.NAMES)
+
+    def test_each_name_is_its_submodules_object(self):
+        import lqmc
+
+        for name in self.NAMES:
+            obj = getattr(lqmc, name)
+            assert obj.__module__.startswith("lqmc."), name
+            assert obj is getattr(sys.modules[obj.__module__], name), name
+
+    def test_unknown_name_raises_attribute_error(self):
+        import lqmc
+
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            lqmc.no_such_name  # noqa: B018
+
+    def test_reading_names_caches_nothing(self):
+        import importlib
+
+        import lqmc
+
+        for module in ("bench", "cud_core", "drive", "errors", "experiment", "models",
+                       "prng", "samplers"):
+            importlib.import_module(f"lqmc.{module}")
+        before = dict(vars(lqmc))
+        for name in self.NAMES:
+            getattr(lqmc, name)
+        assert dict(vars(lqmc)) == before

@@ -413,6 +413,37 @@ assert abs(gt.second_moment[0] - _dw_moment_hermite()[0]) <= 1e-8
         assert not found, found
         assert not module_level, module_level
 
+    def test_package_and_cli_import_no_chain_module_at_module_level(self):
+        # `import lqmc` and the commands that run no chain (gen, discrepancy)
+        # load only these submodules; the others load on first use.
+        src = pathlib.Path(__file__).resolve().parent.parent / "src" / "lqmc"
+
+        def refused(name):
+            if name.startswith("."):
+                return name[1:] not in {"errors", "cud_core", "drive", "prng"}
+            return name.split(".")[0] not in {"numpy", *sys.stdlib_module_names}
+
+        found = []
+        for path in (src / "__init__.py", src / "cli.py"):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            in_functions = {id(inner) for node in ast.walk(tree)
+                            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            for inner in ast.walk(node)}
+            for node in ast.walk(tree):
+                if id(node) in in_functions:
+                    continue
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    dots = "." * node.level
+                    names = ([dots + node.module] if node.module
+                             else [dots + alias.name for alias in node.names])
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if refused(name)]
+        assert not found, found
+
 
 class TestGroundTruthIO:
     def test_json_round_trip(self, tmp_path):

@@ -8,6 +8,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 from lqmc.experiment import load_spec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -117,11 +119,45 @@ def test_bench_record(tmp_path):
     assert record["pairs"]["gen"]["wall_s"]["median_ratio"] == 0.5  # of 0.5, 1.1, 0.49
     assert set(record["pairs"]) == {"gen"}
     assert "gen: wall_s 2/3 wins" in proc.stdout
+    assert gen["quartiles"]["wall_s"] == pytest.approx([2.1, 3.85])  # inclusive method
+    assert record["parent"]["workloads"]["gen"]["quartiles"]["wall_s"] == [4.25, 4.75]
+    assert record["parent"]["workloads"]["sgld"]["quartiles"]["wall_s"] == [3.0, 3.0]
+    pair = record["pairs"]["gen"]
+    assert (pair["wall_s"]["ties"], pair["wall_s"]["resolved"]) == (0, False)  # 2 of 3 wins
+    assert (pair["setup_s"]["change_wins"], pair["setup_s"]["ties"]) == (0, 3)
+    assert "wall_s 2/3 wins, 0 ties, median ratio 0.500, unresolved" in proc.stdout
+    assert "setup_s 0/3 wins, 3 ties" in proc.stdout
     # no results under a checkout: refused
     proc = _run_script("bench_record.py", "--parent", str(tmp_path / "none"),
                        "--change", str(change), "--topic", "demo",
                        "--out-dir", str(tmp_path))
     assert proc.returncode == 2
+
+
+def test_bench_record_claim_rule(tmp_path):
+    # Parent wall_s 1.00..1.09 s over seeds 0..9: quartiles 1.0225 and 1.0675.
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    shifts = {"linear100": [-0.1] * 3 + [0.01] + [-0.1] * 6,  # 9 of 10, gap 0.09
+              "sgld": [-0.03] * 10,  # 10 of 10, gap 0.03 < IQR 0.045
+              "reference": [-0.1] * 8 + [0.01, 0.0]}  # 8 of 10, one tie
+    for root in (parent, change):
+        (root / "src").mkdir(parents=True)
+        (root / "src" / "a.py").write_text(f"# {root.name}\n")
+    for workload, shift in shifts.items():
+        for seed in range(10):
+            _perfbench_result(parent, workload, seed, 1.0 + 0.01 * seed)
+            _perfbench_result(change, workload, seed, 1.0 + 0.01 * seed + shift[seed])
+    proc = _run_script("bench_record.py", "--parent", str(parent), "--change", str(change),
+                       "--topic", "demo", "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tmp_path / "BENCH_demo.json").read_text())
+    assert record["parent"]["workloads"]["sgld"]["quartiles"]["wall_s"] == pytest.approx(
+        [1.0225, 1.0675])
+    wall = {name: record["pairs"][name]["wall_s"] for name in shifts}
+    assert {name: (w["change_wins"], w["ties"], w["resolved"]) for name, w in wall.items()} \
+        == {"linear100": (9, 0, True), "sgld": (10, 0, False), "reference": (8, 1, False)}
+    assert "linear100: wall_s 9/10 wins, 0 ties, median ratio 0.905, resolved" in proc.stdout
+    assert "sgld: wall_s 10/10 wins, 0 ties, median ratio 0.971, unresolved" in proc.stdout
 
 
 def test_bench_record_warns_about_a_side_without_commit(tmp_path):
