@@ -14,11 +14,11 @@ median change/parent ratio, and whether the gain is ``resolved``: the
 change won at least 9 in 10 of the pairs, and its median is lower than the
 parent's by more than the parent's interquartile range (both over those
 pairs).  Quartiles are ``statistics.quantiles(..., method="inclusive")``,
-numpy's default linear interpolation.  Each side records its git commit (``-dirty`` when ``src/`` has
-uncommitted edits) and a sha256 of its ``src/`` files, which names the
-measured code even when it was not committed; a side outside any git
-checkout records ``commit: null`` and gets a warning on stderr.  Machine
-facts come from the change's first run.
+numpy's default linear interpolation.  Each side records its git commit
+(``-dirty`` when ``src/`` has uncommitted edits) and a sha256 of its
+``src/`` files, which names the measured code even when it was not
+committed; a side outside any git checkout records ``commit: null`` and
+gets a warning on stderr.  Machine facts come from the change's first run.
 """
 
 from __future__ import annotations

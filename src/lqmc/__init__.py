@@ -1,9 +1,7 @@
 """Langevin sampling driven by full-period LFSR sequences, plus a benchmark harness.
 
-The names below load their submodule on first use (PEP 562), so that
-``import lqmc`` and the commands that need no chain (``lqmc gen``,
-``lqmc discrepancy``) skip the chain, model, spec and YAML modules.  Nothing
-is cached here: each read returns the submodule's current attribute.
+Each exported name loads its submodule on first use (PEP 562) and is not cached,
+so ``import lqmc``, ``lqmc gen`` and ``lqmc discrepancy`` skip the chain modules.
 """
 
 import importlib

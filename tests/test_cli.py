@@ -663,3 +663,4 @@ class TestNamespace:
         for name in self.NAMES:
             getattr(lqmc, name)
         assert dict(vars(lqmc)) == before
+        assert not set(self.NAMES) & set(vars(lqmc))  # nor did any earlier read
