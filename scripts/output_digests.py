@@ -6,11 +6,12 @@ Runs ``bench.run_comparison`` with trajectory dumps on every
 that hand a burn-in over to the main phase: logistic SGLD with
 ``burn_in_m = 6`` and a ``solved`` schedule beside the constant one, and
 linear100 with ``burn_in_m = 5``, ``n_override = 200`` and ``offset = 7``.
-Models whose truth is a long reference run (logistic, crossed) are scored
-against a fixed synthetic truth, so none is computed.  Each line is
-``<file> <sha256>``, for every report, replicate CSV, ``.meta.yaml``
-sidecar (written as ``lqmc run`` writes it) and trajectory dump, so checking
-that two checkouts write the same bytes is one ``diff``:
+Model kinds whose ``bench.MODEL_KINDS`` entry is a long reference run
+(logistic, crossed) are scored against a fixed synthetic truth, so none is
+computed.  Each line is ``<file> <sha256>``, for every report, replicate
+CSV, ``.meta.yaml`` sidecar (written as ``lqmc run`` writes it) and
+trajectory dump, so checking that two checkouts write the same bytes is one
+``diff``:
 
     PYTHONPATH=src python3 scripts/output_digests.py > digests.txt
 """
@@ -25,7 +26,7 @@ import numpy as np
 import yaml
 
 from lqmc import bench
-from lqmc.experiment import DEFAULT_TRUTH, ScheduleSpec, load_spec
+from lqmc.experiment import ScheduleSpec, load_spec
 from lqmc.models import GroundTruth
 
 SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -48,7 +49,7 @@ def main() -> int:
         root = pathlib.Path(tmp)
         for name, spec in cases():
             truth = None
-            if spec.model in DEFAULT_TRUTH:
+            if bench.MODEL_KINDS[spec.model].provenance == "long-reference-run":
                 d = bench.build_model(spec)[0].dim
                 truth = GroundTruth(np.zeros(d), np.ones(d), np.full(d, 0.5), "synthetic")
             (root / name).mkdir()

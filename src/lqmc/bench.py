@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .cud_core import PointSet, builtin_config, factorize, generate_cud
 from .drive import build_drive_matrix, coprime_width
 from .errors import ConfigurationError, DataError, DomainError
-from .experiment import DEFAULT_TRUTH, TEST_FUNCTIONS, ExperimentSpec, TruthSpec
+from .experiment import DEFAULT_TRUTH, TEST_FUNCTIONS, ExperimentSpec
 from .models import (GroundTruth, closed_form_posterior,
                      crossed_effects_potential, double_well_potential,
                      double_well_truth, linear_regression_potential,
@@ -102,50 +103,49 @@ class MseReport:
 # ---------------------------------------------------------------------------
 
 
+def _dataset(spec: ExperimentSpec):  # None for the double well, which has no data
+    return None if spec.model == "double_well" else synthesize_data(
+        spec.model, spec.n_obs, spec.dim, spec.data_seed, noise_var=spec.noise_var)
+
+
+def _reference_run(spec: ExperimentSpec, potential) -> GroundTruth:
+    ts = spec.truth or DEFAULT_TRUTH[spec.model]
+    return reference_ground_truth(potential, ts.h, ts.n_steps, ts.chains, ts.seed)
+
+
+# Each model kind's potential(dataset) and its truth's provenance and oracle(spec, potential),
+# called by module name for the benchmark's tracer; the linear oracle re-synthesizes its data.
+ModelKind = namedtuple("ModelKind", "potential provenance oracle")
+MODEL_KINDS = {
+    "logistic": ModelKind(lambda data: logistic_potential(data), "long-reference-run",
+                          _reference_run),
+    "linear": ModelKind(lambda data: linear_regression_potential(data), "closed-form",
+                        lambda spec, potential: closed_form_posterior(_dataset(spec))),
+    "crossed": ModelKind(lambda data: crossed_effects_potential(data.y), "long-reference-run",
+                         _reference_run),
+    "double_well": ModelKind(lambda data: double_well_potential(), "closed-form",
+                             lambda spec, potential: double_well_truth()),
+}
+
+
 def build_model(spec: ExperimentSpec):
     """(potential, dataset) for a spec; dataset is None for the double well."""
-    if spec.model == "double_well":
-        return double_well_potential(), None
-    data = synthesize_data(
-        spec.model, spec.n_obs, spec.dim, spec.data_seed, noise_var=spec.noise_var
-    )
-    if spec.model == "logistic":
-        return logistic_potential(data), data
-    if spec.model == "linear":
-        return linear_regression_potential(data), data
-    return crossed_effects_potential(data.y), data
-
-
-def truth_source(spec: ExperimentSpec) -> tuple[str, TruthSpec | None]:
-    """The provenance of the model's ground truth, and the reference-run
-    settings when it is a long reference run (None otherwise)."""
-    if spec.model in DEFAULT_TRUTH:
-        return "long-reference-run", spec.truth or DEFAULT_TRUTH[spec.model]
-    return "closed-form", None
+    data = _dataset(spec)
+    return MODEL_KINDS[spec.model].potential(data), data
 
 
 def ground_truth_for(spec: ExperimentSpec, potential) -> GroundTruth:
-    """Closed form or a long reference run, per ``truth_source``."""
-    provenance, ts = truth_source(spec)
-    if spec.model == "double_well":
-        return double_well_truth()
-    if provenance == "closed-form":
-        data = synthesize_data("linear", spec.n_obs, spec.dim, spec.data_seed,
-                               noise_var=spec.noise_var)
-        return closed_form_posterior(data)
-    return reference_ground_truth(
-        potential, h=ts.h, n_steps=ts.n_steps, n_chains=ts.chains, seed=ts.seed
-    )
+    """The spec's ground truth, by its kind's oracle in ``MODEL_KINDS`` (handed no dataset)."""
+    return MODEL_KINDS[spec.model].oracle(spec, potential)
 
 
 def cached_ground_truth(spec: ExperimentSpec, cache) -> GroundTruth:
-    """The spec's ground truth, loaded from ``cache`` if that file holds the
-    truth of the same ``model`` section and ``truth_source``, else computed
-    (and saved to ``cache`` with that key); stderr says which, why a cache
-    file was passed over, and how long a computation took.
-    ``lqmc run --truth-cache`` and ``scripts/run_desk_suite.py`` both use it."""
-    provenance, ts = truth_source(spec)
-    key = {"model": spec.to_dict()["model"], "provenance": provenance,
+    """The spec's ground truth, loaded from ``cache`` if that file holds the truth of the
+    same ``model`` section and truth source, else computed (and saved to ``cache`` with that
+    key); stderr says which, why a cache file was passed over, and how long a computation
+    took.  ``lqmc run --truth-cache`` and ``scripts/run_desk_suite.py`` both use it."""
+    entry, ts = MODEL_KINDS[spec.model], spec.truth or DEFAULT_TRUTH.get(spec.model)
+    key = {"model": spec.to_dict()["model"], "provenance": entry.provenance,
            "truth": None if ts is None else asdict(ts)}
     if cache is not None and os.path.exists(cache):
         try:
@@ -156,7 +156,7 @@ def cached_ground_truth(spec: ExperimentSpec, cache) -> GroundTruth:
             print(f"truth: loaded from cache {cache}", file=sys.stderr)
             return truth
     settings = "" if ts is None else f" h={ts.h:g} n_steps={ts.n_steps} chains={ts.chains}"
-    print(f"truth: computing {spec.model} {provenance}{settings}", file=sys.stderr)
+    print(f"truth: computing {spec.model} {entry.provenance}{settings}", file=sys.stderr)
     start = time.perf_counter()
     truth = ground_truth_for(spec, build_model(spec)[0])
     if cache is not None:
@@ -237,7 +237,7 @@ def run_comparison(
     if truth is None:
         truth = ground_truth_for(spec, potential)
     d, reps = potential.dim, spec.replicates
-    if any(len(truth.values(kind)) != d for kind in TEST_FUNCTIONS):
+    if len(truth.mean) != d:  # GroundTruth holds every array at the length of its mean
         raise ConfigurationError(f"a ground truth of {len(truth.mean)} coordinates "
                                  f"for the {spec.model} model of dimension {d}")
     truth_values = np.stack([truth.values(kind) for kind in TEST_FUNCTIONS])[:, None]

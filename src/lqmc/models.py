@@ -73,6 +73,13 @@ class GroundTruth:
     _FIELDS = {"coordinate": "mean", "square": "second_moment", "indicator": "positive_prob"}
     _ARRAYS = (*_FIELDS.values(), *(f"{name}_se" for name in _FIELDS.values()))
 
+    def __post_init__(self):
+        for name in self._ARRAYS:
+            arr = getattr(self, name)
+            if arr is not None and len(arr) != len(self.mean):
+                raise ValueError(f"has field {name!r} of {len(arr)} entries, not "
+                                 f"{len(self.mean)} as 'mean'")
+
     def values(self, kind: str) -> np.ndarray:
         return getattr(self, self._FIELDS[kind])
 

@@ -11,8 +11,8 @@ from lqmc.bench import (MseReport, iid_pointset, is_primitive_root, lcg_demo,
 from lqmc.cud_core import builtin_config, generate_cud
 from lqmc.drive import build_drive_matrix
 from lqmc.errors import ConfigurationError
-from lqmc.experiment import ExperimentSpec, ScheduleSpec
-from lqmc.models import GroundTruth, standard_gaussian_potential
+from lqmc.experiment import DEFAULT_TRUTH, MODELS, ExperimentSpec, ScheduleSpec, TruthSpec
+from lqmc.models import GroundTruth, closed_form_posterior, standard_gaussian_potential
 from lqmc.prng import BaselinePrng
 from lqmc.samplers import (ChainConfig, ConstantSchedule, PseudoRandomDrive, continue_chain,
                            run_chain)
@@ -315,6 +315,26 @@ class TestRunComparison:
         report = run_comparison(spec)
         assert report.metadata["burn_in_n"] == 7
         assert all(np.isfinite(r.mse) for r in report.rows)
+
+
+class TestModelKinds:
+    def test_one_entry_per_model_kind(self):
+        assert set(bench.MODEL_KINDS) == set(MODELS)
+        assert {kind for kind, entry in bench.MODEL_KINDS.items()
+                if entry.provenance == "long-reference-run"} == set(DEFAULT_TRUTH)
+
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_oracle_gives_the_entrys_provenance(self, kind):
+        truth = TruthSpec(h=1e-3, n_steps=64, chains=2) if kind in DEFAULT_TRUTH else None
+        spec = _tiny_spec(model=kind, truth=truth)
+        got = bench.ground_truth_for(spec, bench.build_model(spec)[0])
+        assert got.provenance == bench.MODEL_KINDS[kind].provenance
+
+    def test_linear_truth_is_the_closed_form_of_the_built_dataset(self):
+        spec = _tiny_spec()
+        potential, data = bench.build_model(spec)
+        assert (bench.ground_truth_for(spec, potential).to_dict()
+                == closed_form_posterior(data).to_dict())
 
 
 class TestIidPointset:

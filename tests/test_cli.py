@@ -16,6 +16,7 @@ from lqmc.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_VALIDATION, _format_dyadic, 
 from lqmc.cud_core import MAX_M, builtin_config, generate_cud
 from lqmc.drive import build_drive_matrix, coprime_width
 from lqmc.experiment import load_spec
+from lqmc.models import GroundTruth, save_ground_truth
 from lqmc.prng import BaselinePrng
 
 
@@ -413,8 +414,10 @@ truth: {h: 0.001, n_steps: 1024, chains: 2, seed: 5}
          "has field 'second_moment' = null, not a list of numbers"),
         (lambda saved: json.dumps({**saved, "mean": "abcd"}),
          "has field 'mean' = \"abcd\", not a list of numbers"),
+        (lambda saved: json.dumps({**saved, "positive_prob": saved["positive_prob"][:2]}),
+         "has field 'positive_prob' of 2 entries, not 4 as 'mean'"),
     ], ids=["other_model", "other_data_seed", "truncated", "no_second_moment", "json_list",
-            "null_second_moment", "string_mean"])
+            "null_second_moment", "string_mean", "short_positive_prob"])
     def test_truth_made_for_another_spec_is_recomputed(self, tmp_path, capsys, first, stored):
         cache = tmp_path / "truth.json"
         (tmp_path / "spec.yaml").write_text(self.LINEAR % 4)
@@ -431,6 +434,29 @@ truth: {h: 0.001, n_steps: 1024, chains: 2, seed: 5}
         assert why.startswith(f"truth: cache {cache} ") and stored in why
         assert why.endswith("; recomputing")
         assert not list(tmp_path.glob("*.tmp"))  # the saves left no temporary file
+
+    # The key format written out by hand: a changed key would recompute every
+    # truth cached before it, the tests' own reference truths included.
+    @pytest.mark.parametrize("text, key", [
+        (LINEAR % 4, {"model": {"kind": "linear", "n_obs": 8, "dim": 4, "data_seed": 4,
+                                "noise_var": 0.25},
+                      "provenance": "closed-form", "truth": None}),
+        (SPEC, {"model": {"kind": "crossed", "n_obs": 2, "dim": 3, "data_seed": 4},
+                "provenance": "long-reference-run",
+                "truth": {"h": 0.001, "n_steps": 1024, "chains": 2, "seed": 5}}),
+        (LINEAR.replace("linear", "logistic") % 4,
+         {"model": {"kind": "logistic", "n_obs": 8, "dim": 4, "data_seed": 4},
+          "provenance": "long-reference-run",
+          "truth": {"h": 0.0001, "n_steps": 4194304, "chains": 10, "seed": 101}}),
+    ], ids=["linear", "crossed", "logistic_default_truth"])
+    def test_cache_key_format(self, tmp_path, capsys, text, key):
+        spec, cache = tmp_path / "spec.yaml", tmp_path / "truth.json"
+        spec.write_text(text)
+        d = 1 + 2 + 3 + 2 if key["model"]["kind"] == "crossed" else 4  # mu, a, b, la, lb
+        save_ground_truth(GroundTruth(np.zeros(d), np.ones(d), np.full(d, 0.5), "test"),
+                          cache, key)
+        assert run_cli("run", str(spec), "--truth-cache", str(cache)) == EXIT_OK
+        assert capsys.readouterr().err == f"truth: loaded from cache {cache}\n"
 
     def test_truth_of_another_size_exits_2(self, tmp_path, capsys):
         spec, cache = tmp_path / "spec.yaml", tmp_path / "truth.json"

@@ -480,6 +480,20 @@ class TestGroundTruthIO:
                                             rf"'{field}' = .*, not a list of numbers$"):
             load_ground_truth(path)
 
+    @pytest.mark.parametrize("field", ["second_moment", "positive_prob", "mean_se",
+                                       "positive_prob_se"])
+    def test_arrays_of_unequal_length_are_refused(self, tmp_path, field):
+        arrays = {name: np.full(3, 0.5) for name in GroundTruth._ARRAYS}
+        message = f"has field '{field}' of 2 entries, not 3 as 'mean'"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GroundTruth(provenance="test", **{**arrays, field: np.full(2, 0.5)})
+        path = tmp_path / "truth.json"
+        save_ground_truth(GroundTruth(provenance="test", **arrays), path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, field: payload[field][:2]}))
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))} {message}$"):
+            load_ground_truth(path)
+
     def test_values_accessor(self):
         gt = double_well_truth()
         assert gt.values("square")[0] == gt.second_moment[0]
