@@ -2,19 +2,22 @@
 
 For each period exponent m and schedule the harness steps R quasi-random
 replicates (fresh rotation shifts over one shared deterministic driving
-sequence) and R pseudo-random replicates (independent baseline streams)
-side by side as one batch, reduces their sample averages online, evaluates
-the test functions against ground truth, and reports the squared error
-averaged over coordinates first, then over replicates, with a standard
-error across replicates.  Every seed and shift derives deterministically
-from (experiment seed, m, schedule index, replicate index), so reports are
-byte-identical across runs.
+sequence) and R pseudo-random replicates (independent baseline streams),
+each method's replicates as one batch (the pseudo-random batch in a forked
+child process when this one may use two CPUs), reduces their sample
+averages online, evaluates the test functions against ground truth, and
+reports the squared error averaged over coordinates first, then over
+replicates, with a standard error across replicates.  Every seed and shift
+derives deterministically from (experiment seed, m, schedule index,
+replicate index), so reports are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 import sys
 import time
 from collections import namedtuple
@@ -24,7 +27,7 @@ import numpy as np
 
 from .cud_core import PointSet, builtin_config, factorize, generate_cud
 from .drive import build_drive_matrix, coprime_width
-from .errors import ConfigurationError, DataError, DomainError
+from .errors import ConfigurationError, DataError, DivergenceError, DomainError, LqmcError
 from .experiment import DEFAULT_TRUTH, TEST_FUNCTIONS, ExperimentSpec
 from .models import (GroundTruth, closed_form_posterior,
                      crossed_effects_potential, double_well_potential,
@@ -42,6 +45,11 @@ _ROLE_SHIFT = 0
 _ROLE_NOISE = 1
 _ROLE_MINIBATCH_LQMC = 2
 _ROLE_MINIBATCH_LMC = 3
+
+
+# A cell steps its LMC batch in a forked child once R times its phases' steps reaches
+# this: one fork round trip (fork, pickled means back, reap) costs about 5 ms.
+_FORK_STEPS = 1 << 14
 
 
 def _stream(sched_idx: int, role: int, m: int, r: int) -> int:
@@ -174,51 +182,124 @@ def cached_ground_truth(spec: ExperimentSpec, cache) -> GroundTruth:
 def run_cell(spec: ExperimentSpec, potential, m: int, sched_idx: int, phases,
              trajectory_dir: str | None = None) -> np.ndarray:
     """The per-chain means of one (m, schedule) cell, (3, 2R, d) as from
-    ``samplers.sample_means``: R LMC chains, then R LQMC chains, stepped as
-    one batch through ``phases``, (sequence, steps) pairs, each phase from the
-    previous one's final states (a burn-in, then the main phase, whose means
-    these are).  Every stream derives from (spec seed, m, ``sched_idx``,
-    replicate) alone.  An LMC chain reads one noise stream, and each chain
-    one minibatch stream, across all phases; an LQMC chain reads each phase's
-    sequence under the next shift of its replicate's shift stream.
-    ``trajectory_dir`` receives each chain's states as the batch makes them,
-    every block appended to ``<method>_m<m>_<schedule>_r<r>.csv``.
+    ``samplers.sample_means``: R LMC chains, then R LQMC chains.  Each
+    method's R chains are stepped as one batch through ``phases``,
+    (sequence, steps) pairs, each phase from the previous one's final states
+    (a burn-in, then the main phase, whose means these are).  Every stream
+    derives from (spec seed, m, ``sched_idx``, replicate) alone.  An LMC
+    chain reads one noise stream, and each chain one minibatch stream,
+    across all phases; an LQMC chain reads each phase's sequence under the
+    next shift of its replicate's shift stream.  ``trajectory_dir`` receives
+    each chain's states as its batch makes them, every block appended to
+    ``<method>_m<m>_<schedule>_r<r>.csv``.
+
+    The LMC batch is stepped in a forked child process while this one steps
+    the LQMC batch, if ``os.fork`` exists, this process may run on two CPUs
+    and the cell takes at least ``_FORK_STEPS`` chain steps a method;
+    otherwise one after the other.  The batches are the same either way,
+    and so are the means.  A chain leaving ||theta|| <= 1e8 raises the
+    DivergenceError of the earliest iteration, LMC on a tie, as one batch of
+    all 2R chains would.
     """
     reps, d = spec.replicates, potential.dim
     schedule, label = spec.main_run(m)[1][sched_idx], spec.schedules[sched_idx].label
-    keys = [(method, r) for method in ("lmc", "lqmc") for r in range(reps)]
-    names = tuple(f"{spec.model} {k} m={m} schedule={label} replicate {r}" for k, r in keys)
-    roles = [_ROLE_MINIBATCH_LMC] * reps + [_ROLE_MINIBATCH_LQMC] * reps
-    noise = [PseudoRandomDrive(spec.seed, _stream(sched_idx, _ROLE_NOISE, m, r))
-             for r in range(reps)]
-    shifts = [BaselinePrng(spec.seed, _stream(sched_idx, _ROLE_SHIFT, m, r))
-              for r in range(reps)]
-    dump, row = None, 1  # row: the iteration of the next dumped state
-    if trajectory_dir is not None:
-        paths = [f"{trajectory_dir}/{method}_m{m}_{label}_r{r}.csv" for method, r in keys]
-        for path in paths:  # emptied up front, so a bad directory fails before any step
+    paths = {method: [f"{trajectory_dir}/{method}_m{m}_{label}_r{r}.csv" for r in range(reps)]
+             for method in ("lmc", "lqmc")} if trajectory_dir is not None else {}
+    for group in paths.values():
+        for path in group:  # emptied up front, so a bad directory fails before any step
             open(path, "w").close()
 
-        def dump(block):  # one file open at a time: R can reach 2^20 - 1
-            nonlocal row
-            for path, states in zip(paths, block.transpose(1, 0, 2)):
-                with open(path, "a") as fh:
-                    np.savetxt(fh, np.column_stack([np.arange(row, row + len(block)), states]),
-                               fmt=["%d"] + ["%.17g"] * d, delimiter=",")
-            row += len(block)
+    def batch_means(method):  # (3, R, d), or the DivergenceError one of its chains raised
+        lmc, dump, row = method == "lmc", None, 1  # row: the iteration of the next dumped state
+        names = tuple(f"{spec.model} {method} m={m} schedule={label} replicate {r}"
+                      for r in range(reps))
+        role = _ROLE_MINIBATCH_LMC if lmc else _ROLE_MINIBATCH_LQMC
+        if lmc:
+            noise = [PseudoRandomDrive(spec.seed, _stream(sched_idx, _ROLE_NOISE, m, r))
+                     for r in range(reps)]
+        else:
+            shifts = [BaselinePrng(spec.seed, _stream(sched_idx, _ROLE_SHIFT, m, r))
+                      for r in range(reps)]
+        if paths:
+            def dump(block):  # one file open at a time: R can reach 2^20 - 1
+                nonlocal row
+                for path, states in zip(paths[method], block.transpose(1, 0, 2)):
+                    with open(path, "a") as fh:
+                        np.savetxt(fh, np.column_stack([np.arange(row, row + len(block)),
+                                                        states]),
+                                   fmt=["%d"] + ["%.17g"] * d, delimiter=",")
+                row += len(block)
 
-    theta, start, batch = np.zeros((2 * reps, d)), 1, None
-    for seq, n in phases:
-        if batch is not None:
-            theta = run_chain(potential, batch, dump)
-        drives = noise + [build_drive_matrix(seq, d, rng=rng) for rng in shifts]
-        batch = ChainBatch(tuple(
-            ChainConfig(theta0=x, n_steps=n, schedule=schedule, drive=drive,
-                        minibatch=spec.minibatch, minibatch_seed=spec.seed,
-                        minibatch_stream=_stream(sched_idx, role, m, r), schedule_start=start)
-            for x, drive, role, (_, r) in zip(theta, drives, roles, keys)), names)
-        start += n
-    return sample_means(potential, batch, dump)
+        theta, start, batch = np.zeros((reps, d)), 1, None
+        try:
+            for seq, n in phases:
+                if batch is not None:
+                    theta = run_chain(potential, batch, dump)
+                drives = noise if lmc else [build_drive_matrix(seq, d, rng=rng) for rng in shifts]
+                batch = ChainBatch(tuple(
+                    ChainConfig(theta0=x, n_steps=n, schedule=schedule, drive=drive,
+                                minibatch=spec.minibatch, minibatch_seed=spec.seed,
+                                minibatch_stream=_stream(sched_idx, role, m, r),
+                                schedule_start=start)
+                    for r, (x, drive) in enumerate(zip(theta, drives))), names)
+                start += n
+            return sample_means(potential, batch, dump)
+        except DivergenceError as exc:
+            return exc
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if reps * sum(n for _, n in phases) >= _FORK_STEPS and hasattr(os, "fork") and (cpus or 1) > 1:
+        lmc, lqmc = _forked(lambda: batch_means("lmc"), lambda: batch_means("lqmc"),
+                            f"the LMC half of {spec.model} m={m} schedule={label}")
+    else:
+        lmc, lqmc = batch_means("lmc"), batch_means("lqmc")
+    diverged = [x for x in (lmc, lqmc) if isinstance(x, DivergenceError)]
+    if diverged:
+        raise min(diverged, key=lambda exc: exc.iteration)  # min keeps LMC on a tie
+    return np.concatenate([lmc, lqmc], axis=1)
+
+
+def _forked(child_work, parent_work, child_name: str):
+    """(child_work(), parent_work()), the first computed in a forked child.
+
+    The child sends back its pickled result, or the exception it raised,
+    through a pipe and leaves with ``os._exit``, never returning into the
+    caller.  The child is killed if ``parent_work`` raises (KeyboardInterrupt
+    included) and is always reaped; one that ends without a result raises an
+    LqmcError naming ``child_name``.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, child_work())
+            except BaseException as exc:
+                outcome = (False, exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(outcome, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            mine = parent_work()
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status != 0:
+        raise LqmcError(f"{child_name} ended without a result "
+                        f"(exit code {os.waitstatus_to_exitcode(status)})")
+    ok, theirs = pickle.loads(data)
+    if not ok:
+        raise theirs
+    return theirs, mine
 
 
 def run_comparison(

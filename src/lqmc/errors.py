@@ -36,3 +36,6 @@ class DivergenceError(LqmcError, RuntimeError):
     def __init__(self, iteration: int, message: str | None = None):
         self.iteration = iteration
         super().__init__(message or f"chain diverged at iteration {iteration}")
+
+    def __reduce__(self):  # pickled by a forked half of a cell (``bench.run_cell``)
+        return type(self), (self.iteration, str(self))

@@ -1,17 +1,23 @@
 """Harness mechanics: the LCG demo, the comparison and report plumbing."""
 
+import os
+import pickle
+import textwrap
+import time
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+import yaml
 
-from lqmc import bench, prng, samplers
+from lqmc import bench, cli, errors, prng, samplers
 from lqmc.bench import (MseReport, iid_pointset, is_primitive_root, lcg_demo,
                         run_comparison, smallest_primitive_root)
 from lqmc.cud_core import builtin_config, generate_cud
 from lqmc.drive import build_drive_matrix
-from lqmc.errors import ConfigurationError
-from lqmc.experiment import DEFAULT_TRUTH, MODELS, ExperimentSpec, ScheduleSpec, TruthSpec
+from lqmc.errors import ConfigurationError, DivergenceError, LqmcError
+from lqmc.experiment import (DEFAULT_TRUTH, MODELS, ExperimentSpec, ScheduleSpec, TruthSpec,
+                             load_spec)
 from lqmc.models import GroundTruth, closed_form_posterior, standard_gaussian_potential
 from lqmc.prng import BaselinePrng
 from lqmc.samplers import (ChainConfig, ConstantSchedule, PseudoRandomDrive, continue_chain,
@@ -194,7 +200,8 @@ class TestRunComparison:
     def test_dump_holds_the_scored_chains(self, monkeypatch, tmp_path):
         # Each dump holds the states its chain's batch made, burn-in included,
         # bit for bit; a chain stepped alone could round its d = 100 BLAS
-        # gradients otherwise.  One batched pass per phase steps them all.
+        # gradients otherwise.  Each method's R chains are one batch, stepped
+        # through both phases, LMC first.
         spec = ExperimentSpec(model="linear", m_values=(6,), n_obs=20, dim=100, replicates=2,
                               burn_in_m=3, schedules=(ScheduleSpec(kind="constant", h=0.001),))
         passes, original = [], samplers.run_chain
@@ -213,17 +220,19 @@ class TestRunComparison:
         monkeypatch.setattr(samplers, "run_chain", recording)
         monkeypatch.setattr(bench, "run_chain", recording)
         run_comparison(spec, trajectory_dir=str(tmp_path))
-        batch = 2 * spec.replicates
-        states = np.concatenate([block for b, blocks in passes if b == batch for block in blocks])
-        assert states.shape == (7 + 63, batch, spec.dim)
+        reps = spec.replicates
+        assert [b for b, _ in passes] == [reps] * 4  # per method: burn-in, main phase
         differ = []
-        for i, (method, r) in enumerate((k, r) for k in ("lmc", "lqmc") for r in range(2)):
-            body = np.loadtxt(tmp_path / f"{method}_m6_constant_h0.001_r{r}.csv", delimiter=",")
-            assert np.array_equal(body[:, 0], np.arange(1, 71)), (method, r)
-            if not np.array_equal(body[:, 1:], states[:, i]):
-                differ.append((method, r))
+        for method, phases in (("lmc", passes[:2]), ("lqmc", passes[2:])):
+            states = np.concatenate([block for _, blocks in phases for block in blocks])
+            assert states.shape == (7 + 63, reps, spec.dim)
+            for r in range(reps):
+                body = np.loadtxt(tmp_path / f"{method}_m6_constant_h0.001_r{r}.csv",
+                                  delimiter=",")
+                assert np.array_equal(body[:, 0], np.arange(1, 71)), (method, r)
+                if not np.array_equal(body[:, 1:], states[:, r]):
+                    differ.append((method, r))
         assert differ == []
-        assert [b for b, _ in passes] == [batch] * 2  # burn-in, main phase
 
     def test_cell_means_depend_only_on_the_cell(self):
         # Streams derive from (seed, m, schedule index, replicate) alone, so
@@ -315,6 +324,193 @@ class TestRunComparison:
         report = run_comparison(spec)
         assert report.metadata["burn_in_n"] == 7
         assert all(np.isfinite(r.mse) for r in report.rows)
+
+
+def _cpus(monkeypatch, n):
+    """Make ``bench.run_cell`` see n CPUs in this process's affinity."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def _count_forks(monkeypatch):
+    forks, fork = [], os.fork
+
+    def counting():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _outputs(spec, truth, root):
+    """Every byte ``run_comparison`` writes for spec: report, replicate CSV, sidecar, dumps."""
+    root.mkdir()
+    report = run_comparison(spec, truth=truth, trajectory_dir=str(root))
+    return {"report": report.to_csv(), "replicates": report.replicate_csv(),
+            "sidecar": yaml.safe_dump(report.metadata, sort_keys=True),
+            **{path.name: path.read_bytes() for path in sorted(root.iterdir())}}
+
+
+def _diverge_steep(method):
+    """A ``sample_means`` whose ``method`` batch steps on a 1e4 times steeper potential."""
+    original = bench.sample_means
+
+    def sample_means(potential, batch, observe=None):
+        if f" {method} " in batch.names[0]:
+            grad = potential.grad_batch
+            potential = replace(potential, grad_batch=lambda theta: 1e4 * grad(theta))
+        return original(potential, batch, observe)
+
+    return sample_means
+
+
+_DIVERGING = textwrap.dedent("""\
+    model: {{kind: linear, n_obs: 8, dim: 3, data_seed: 2}}
+    drive: {{m_values: [4]}}
+    schedules: [{{kind: constant, h: {h}}}]
+    run: {{replicates: 2, seed: {seed}, test_functions: [coordinate]}}
+    """)
+
+
+class TestForkedCells:
+    """A cell's LMC batch stepped in a forked child writes what it writes in-process."""
+
+    @pytest.mark.parametrize("spec", [
+        ExperimentSpec(model="linear", m_values=(5, 6), n_obs=20, dim=100, replicates=3,
+                       burn_in_m=3, schedules=(ScheduleSpec(kind="constant", h=0.001),)),
+        ExperimentSpec(model="logistic", m_values=(5,), n_obs=12, dim=2, seed=3, replicates=3,
+                       minibatch=4, burn_in_m=3,
+                       schedules=(ScheduleSpec(kind="constant", h=0.01),
+                                  ScheduleSpec(kind="solved", h_start=0.01, h_end=0.001))),
+        ExperimentSpec(model="crossed", m_values=(6,), n_obs=3, dim=5, data_seed=11,
+                       replicates=2, schedules=(ScheduleSpec(kind="constant", h=0.01),
+                                                ScheduleSpec(kind="constant", h=0.0001))),
+    ], ids=["linear100", "sgld", "crossed"])
+    def test_forked_and_in_process_cells_write_the_same_bytes(self, monkeypatch, tmp_path,
+                                                              spec):
+        d = bench.build_model(spec)[0].dim
+        truth = None if spec.model == "linear" else _flat_truth(d)
+        forks = _count_forks(monkeypatch)
+        _cpus(monkeypatch, 1)
+        monkeypatch.setattr(bench, "_FORK_STEPS", 0)
+        serial = _outputs(spec, truth, tmp_path / "serial")
+        assert forks == []
+        _cpus(monkeypatch, 2)
+        forked = _outputs(spec, truth, tmp_path / "forked")
+        assert len(forks) == len(spec.m_values) * len(spec.schedules)
+        assert forked.keys() == serial.keys()
+        assert [name for name in serial if forked[name] != serial[name]] == []
+
+    def test_small_cells_do_not_fork(self, monkeypatch):
+        # Below _FORK_STEPS chain steps a method, a fork would cost more than it saves.
+        spec = _tiny_spec(m_values=(5,), replicates=2)
+        forks = _count_forks(monkeypatch)
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(bench, "_FORK_STEPS", spec.replicates * 31 + 1)
+        run_comparison(spec)
+        assert forks == []
+        monkeypatch.setattr(bench, "_FORK_STEPS", spec.replicates * 31)
+        run_comparison(spec)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("case", [
+        ("lmc", 0.01, 0, "linear lmc m=4 schedule=constant_h0.01 replicate 0 diverged at "
+                         "iteration 3"),
+        ("lqmc", 0.01, 0, "linear lqmc m=4 schedule=constant_h0.01 replicate 0 diverged at "
+                          "iteration 3"),
+        # Both halves diverge; the messages are those of one batch of all 2R chains.
+        (None, 5.0, 0, "linear lmc m=4 schedule=constant_h5 replicate 1 diverged at "
+                       "iteration 4"),
+        (None, 0.3, 5, "linear lqmc m=4 schedule=constant_h0.3 replicate 1 diverged at "
+                       "iteration 9"),
+    ], ids=["child-only", "parent-only", "both-lmc-first", "both-lqmc-first"])
+    def test_divergence_message_does_not_depend_on_the_fork(self, monkeypatch, tmp_path,
+                                                             capsys, case):
+        method, h, seed, message = case
+        path = tmp_path / "diverge.yaml"
+        path.write_text(_DIVERGING.format(h=h, seed=seed))
+        spec = load_spec(path)
+        if method is not None:
+            monkeypatch.setattr(bench, "sample_means", _diverge_steep(method))
+        monkeypatch.setattr(bench, "_FORK_STEPS", 0)
+        forks = _count_forks(monkeypatch)
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            with pytest.raises(DivergenceError) as exc:
+                run_comparison(spec)
+            assert str(exc.value) == message
+            assert cli.main(["run", str(path)]) == cli.EXIT_DIVERGENCE
+            assert f"divergence (run): {message}\n" in capsys.readouterr().err
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_child_is_reaped_when_the_parent_half_raises(self, monkeypatch, error):
+        original = bench.sample_means
+
+        def sample_means(potential, batch, observe=None):
+            if " lmc " in batch.names[0]:  # the child: outlives the test unless killed
+                time.sleep(60)
+            else:
+                raise error("the parent's half failed")
+            return original(potential, batch, observe)
+
+        monkeypatch.setattr(bench, "sample_means", sample_means)
+        monkeypatch.setattr(bench, "_FORK_STEPS", 0)
+        _cpus(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(error, match="the parent's half failed"):
+            run_comparison(_tiny_spec(m_values=(4,)))
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_child_without_a_result_names_its_cell(self, monkeypatch):
+        def sample_means(potential, batch, observe=None):
+            if " lmc " in batch.names[0]:
+                os._exit(3)
+            return np.zeros((3, len(batch.chains), potential.dim))
+
+        monkeypatch.setattr(bench, "sample_means", sample_means)
+        monkeypatch.setattr(bench, "_FORK_STEPS", 0)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(LqmcError, match=r"^the LMC half of linear m=4 schedule=constant_h0.01 "
+                                            r"ended without a result \(exit code 3\)$"):
+            run_comparison(_tiny_spec(m_values=(4,)))
+
+    def test_a_child_error_is_raised_in_the_parent(self, monkeypatch, tmp_path):
+        def sample_means(potential, batch, observe=None):
+            if " lmc " in batch.names[0]:
+                raise OSError(28, "No space left on device", f"{batch.names[0]}.csv")
+            return np.zeros((3, len(batch.chains), potential.dim))
+
+        monkeypatch.setattr(bench, "sample_means", sample_means)
+        monkeypatch.setattr(bench, "_FORK_STEPS", 0)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(OSError, match="linear lmc m=4 .*replicate 0.csv"):
+            run_comparison(_tiny_spec(m_values=(4,)))
+
+
+class TestErrors:
+    @pytest.mark.parametrize("error", [
+        errors.LqmcError("x"), errors.ConfigurationError("bad offset"),
+        errors.DomainError("h*M >= 1"), errors.SizeError("m > 26"),
+        errors.DataError("bad label"), errors.SpecError("bad key"),
+        errors.DivergenceError(27), errors.DivergenceError(27, "c diverged at iteration 27"),
+    ], ids=lambda e: type(e).__name__)
+    def test_pickle_round_trip(self, error):
+        # A forked half of a cell sends its exception back pickled.
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert str(copy) == str(error) and copy.args == error.args
+        assert getattr(copy, "iteration", None) == getattr(error, "iteration", None)
+
+    def test_every_class_is_covered(self):
+        classes = {obj for obj in vars(errors).values()
+                   if isinstance(obj, type) and issubclass(obj, Exception)}
+        assert classes == {errors.LqmcError, errors.ConfigurationError, errors.DomainError,
+                           errors.SizeError, errors.DataError, errors.SpecError,
+                           errors.DivergenceError}
 
 
 class TestModelKinds:

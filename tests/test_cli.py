@@ -235,6 +235,29 @@ run: {replicates: 3, seed: 5, test_functions: [coordinate]}
         assert text.startswith("model,method,m,n,schedule,test_fn,mse,stderr,replicates")
         assert (tmp_path / "report.csv.meta.yaml").exists()
 
+    def test_report_bytes_do_not_depend_on_the_blas_threads(self, tmp_path):
+        # `python -m lqmc` (and the `lqmc` script) run BLAS with one thread
+        # whatever the caller sets.  With two OpenBLAS threads this d = 100
+        # cell's report used to move in its 12th significant digit.
+        spec = tmp_path / "linear100.yaml"
+        spec.write_text("model: {kind: linear, n_obs: 20, dim: 100, noise_var: 0.25, "
+                        "data_seed: 51}\n"
+                        "drive: {m_values: [6]}\n"
+                        "schedules: [{kind: constant, h: 0.001}]\n"
+                        "run: {replicates: 6, seed: 0}\n")
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.csv"
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-m", "lqmc", "--output", str(out), "run",
+                                   str(spec)], env=env, capture_output=True, text=True,
+                                  check=False, timeout=120)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            outputs.append((out.read_bytes(), pathlib.Path(f"{out}.meta.yaml").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_sidecar_records_the_spec_cells(self, tmp_path):
         # The run writes each m's drive and schedules from spec.cell(m).
         spec_path = tmp_path / "cells.yaml"
