@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import signal
 import sys
 import time
 from collections import namedtuple
@@ -289,6 +288,8 @@ def _forked(child_work, parent_work, child_name: str):
             mine = parent_work()
             data = pipe.read()
     except BaseException:
+        import signal  # only here: `import lqmc.bench` does not load it
+
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
