@@ -491,11 +491,13 @@ class TestForkedCells:
             run_comparison(_tiny_spec(m_values=(4,)))
 
 
+_ERROR_CLASSES = [obj for obj in vars(errors).values()
+                  if isinstance(obj, type) and issubclass(obj, Exception)]
+
+
 class TestErrors:
     @pytest.mark.parametrize("error", [
-        errors.LqmcError("x"), errors.ConfigurationError("bad offset"),
-        errors.DomainError("h*M >= 1"), errors.SizeError("m > 26"),
-        errors.DataError("bad label"), errors.SpecError("bad key"),
+        *(cls("a message") for cls in _ERROR_CLASSES if cls is not errors.DivergenceError),
         errors.DivergenceError(27), errors.DivergenceError(27, "c diverged at iteration 27"),
     ], ids=lambda e: type(e).__name__)
     def test_pickle_round_trip(self, error):
@@ -504,13 +506,6 @@ class TestErrors:
         assert type(copy) is type(error)
         assert str(copy) == str(error) and copy.args == error.args
         assert getattr(copy, "iteration", None) == getattr(error, "iteration", None)
-
-    def test_every_class_is_covered(self):
-        classes = {obj for obj in vars(errors).values()
-                   if isinstance(obj, type) and issubclass(obj, Exception)}
-        assert classes == {errors.LqmcError, errors.ConfigurationError, errors.DomainError,
-                           errors.SizeError, errors.DataError, errors.SpecError,
-                           errors.DivergenceError}
 
 
 class TestModelKinds:
